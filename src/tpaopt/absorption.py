@@ -25,7 +25,7 @@ from scipy.integrate import simpson
 from scipy.special import erfcx
 
 from .model import Atom
-from .numutil import phi1
+from .numutil import phi1, refine_max
 from .optimal import pmax_bound
 from .quadrature import integrate, gl_panels, subdivide, _gl_nodes as _gl_nodes_cached
 from .states import (DecayingExpProduct, EntangledGaussian, GaussianProduct,
@@ -180,13 +180,17 @@ def _fast_path_valid(state, t0):
     return t0 <= min(state.support1()[0], state.support2()[0])
 
 
+def _outer_breakpoints(state):
+    """Kinks along t2: the state's own, and the t1-support edges that the
+    inner integral (running up to t2) carries over."""
+    return tuple(state.breakpoints2()) + tuple(state.breakpoints1())
+
+
 def _outer_edges(atom: Atom, state, lo, hi):
     rate = atom.gamma_e + atom.gamma_f + abs(atom.delta1) + abs(atom.delta2)
     h_max = min(4.0 / rate, 2.0 * _inner_scale(atom, state),
                 2.0 * _t2_scale(state))
-    # kinks of the inner integral (t1-support edges) propagate into t2
-    extra = tuple(state.breakpoints2()) + tuple(state.breakpoints1())
-    return subdivide(lo, hi, h_max, extra=extra)
+    return subdivide(lo, hi, h_max, extra=_outer_breakpoints(state))
 
 
 def curve_amplitudes(atom: Atom, state, times, t0=-np.inf):
@@ -292,7 +296,7 @@ def _pf_at_quadrature(atom, state, t, t0, rel_tol):
         return np.exp(1j * d2 * (t2_arr - t) - 0.5 * gf * (t - t2_arr)) * vals
 
     o = integrate(outer, lo2, hi2, rel_tol=rel_tol,
-                  breakpoints=state.breakpoints2())
+                  breakpoints=_outer_breakpoints(state))
     return float(_pf_from_amp(atom, abs(o)))
 
 
@@ -320,7 +324,7 @@ def _pf_at_compact(atom, state, t, t0, rel_tol):
         return np.exp((1j * d2 + 0.5 * (gf - ge)) * t2_arr) * vals
 
     o = integrate(outer, lo2, hi2, rel_tol=rel_tol,
-                  breakpoints=state.breakpoints2())
+                  breakpoints=_outer_breakpoints(state))
     return float(ge * gf * math.exp(-gf * t) * abs(o) ** 2)
 
 
@@ -363,56 +367,72 @@ def excitation_curve(atom: Atom, state, times=None, t0=-np.inf, n_times=200):
                                  "delta1": atom.delta1, "delta2": atom.delta2})
 
 
-def _golden_max(f, a, b, tol):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > tol:
-        if f1 >= f2:  # ties move the bracket left (earlier t)
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    xs = 0.5 * (a + b)
-    return xs, f(xs)
-
-
 def _max_with_scan(atom, state, times, t0):
+    """Scan maximum refined on the closed-form slope.
+
+    With O(t) the outer amplitude, dO/dt = G(t) - c2 O(t) where G is the
+    analytic inner integral (left-continuous at the support end, zero past
+    it), so dP/dt = 2 ge gf Re(conj(O) (G - c2 O)) costs one kernel call per
+    time. Trial amplitudes continue the scan from the bracket's left sample
+    over the scan's own panel edges.
+    """
     amps = curve_amplitudes(atom, state, times, t0=t0)
     probs = _pf_from_amp(atom, np.abs(amps))
     i = int(np.argmax(probs))
-    a = times[max(i - 1, 0)]
-    b = times[min(i + 1, times.size - 1)]
+    win = slice(max(i - 1, 0), i + 2)
+    ts, os_ = times[win], amps[win]
     c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
+    lo2 = max(state.support2()[0], t0)
     hi2 = state.support2()[1]
-    anchor_i = max(i - 1, 0)
-    anchor_t = times[anchor_i]
-    anchor_amp = amps[anchor_i]
+    below_hi2 = np.nextafter(hi2, -np.inf)
 
-    def p_of(t):
-        acc = anchor_amp * np.exp(c2 * (anchor_t - t))
-        seg_hi = min(t, hi2)
-        if seg_hi > anchor_t:
-            edges = _outer_edges(atom, state, anchor_t, seg_hi)
-            f = lambda t2: np.exp(c2 * (t2 - t)) * decayed_inner(atom, state, t2)
-            acc = acc + gl_panels(f, edges, order=24)
-        return float(_pf_from_amp(atom, abs(acc)))
+    def inner(t2):
+        g = decayed_inner(atom, state, np.minimum(t2, below_hi2))
+        return np.where(t2 <= hi2, g, 0.0)
 
-    if b > a:
-        t_ref, p_ref = _golden_max(p_of, a, b, 1e-6 / atom.gamma_f)
-    else:
-        t_ref, p_ref = times[i], probs[i]
-    if p_ref < probs[i]:
-        t_ref, p_ref = times[i], probs[i]
-    return float(t_ref), float(p_ref), probs
+    def slope(amp, g):
+        return 2.0 * atom.gamma_e * atom.gamma_f * np.real(np.conj(amp) * (g - c2 * amp))
+
+    t_hi = min(times[-1], hi2)
+    scan_edges = _outer_edges(atom, state, lo2, t_hi) if t_hi > lo2 else np.empty(0)
+
+    def trial(k):
+        a, amp_a = ts[k], os_[k]
+        edges = scan_edges[(scan_edges > a) & (scan_edges < ts[k + 1])]
+
+        def at(t):
+            seg_hi = min(t, hi2)
+            seg = np.concatenate(([a], edges[edges < seg_hi], [seg_hi])) \
+                if seg_hi > a else ()
+            g_t = 0.0  # stays 0 past the support end, where no panel is left
+
+            def f(t2):
+                nonlocal g_t
+                # G at the panel nodes and at t itself in one kernel call
+                g = inner(np.append(t2, t))
+                g_t = g[-1]
+                return np.exp(c2 * (t2 - t)) * g[:-1]
+
+            amp = amp_a * np.exp(c2 * (a - t)) + gl_panels(f, seg, order=24)
+            return slope(amp, g_t), float(_pf_from_amp(atom, abs(amp)))
+
+        return at
+
+    t_s, p_s, s_s = ts, probs[win], slope(os_, inner(ts))
+    if ts[0] < hi2 < ts[-1]:
+        # past the support end P only decays, and at the end its slope jumps:
+        # the maximum lies at or before the end, so the end is the last sample
+        k = int(np.searchsorted(ts, hi2)) - 1
+        s_end, p_end = trial(k)(hi2)
+        t_s = np.append(ts[:k + 1], hi2)
+        p_s = np.append(p_s[:k + 1], p_end)
+        s_s = np.append(s_s[:k + 1], s_end)
+    t_max, p_max = refine_max(t_s, p_s, s_s, trial, 1e-6 / atom.gamma_f)
+    return t_max, p_max, probs
 
 
 def pf_max_over_t(atom: Atom, state, t0=-np.inf, n_scan=200):
-    """Global maximum of P_f over time: coarse scan plus golden refinement."""
+    """Global maximum of P_f over time: coarse scan, then the root of dP/dt."""
     lo, hi = scan_bounds(atom, state, t0)
     times = np.linspace(lo, hi, n_scan)
     t_max, p_max, _ = _max_with_scan(atom, state, times, t0)
@@ -469,7 +489,7 @@ def pf_inner_product(atom: Atom, state, t_star, order=32):
     lo1 = max(state.support1()[0], t_star - depth)
     hi1_state = state.support1()[1]
     h2 = min(2.0 / (ge + gf), _t2_scale(state)) / 1.5
-    edges2 = subdivide(lo2, hi2, h2, extra=state.breakpoints2())
+    edges2 = subdivide(lo2, hi2, h2, extra=_outer_breakpoints(state))
     h1 = min(2.0 / ge, _t1_scale(state)) / 1.5
 
     def inner(t2):

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__, absorption, coherent, optimal, sweeps
 from .model import Atom
-from .optimize import OptimizationProblem, asymptotic_checks, optimize_pulse
+from .optimize import (OptimizationProblem, asymptotic_checks, optimize_pulse,
+                       search_box)
 from .states import (EntangledGaussian, GaussianProduct, OptimalState,
                      schmidt_analytic, state_from_dict)
 
@@ -178,9 +179,11 @@ def cmd_optimize(args):
     res = optimize_pulse(problem)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
+    (wlo, whi), (dlo, dhi) = search_box(atom)
+    gf = atom.gamma_f
     doc = {"headers": _headers(cfg), "problem": problem.to_dict(),
-           "search_bounds": {"widths_gamma_f": list((1e-3, 1e3)),
-                             "delays_gamma_f": list((-50.0, 50.0))},
+           "search_bounds": {"widths_gamma_f": [wlo / gf, whi / gf],
+                             "delays_gamma_f": [dlo * gf, dhi * gf]},
            "result": res.to_dict()}
     (out / "optimize.json").write_text(json.dumps(doc, indent=2, default=float))
     print(json.dumps({"params": {k: round(float(v), 6) for k, v in res.params.items()},

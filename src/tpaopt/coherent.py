@@ -13,6 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .model import Atom, TimeWindow
+from .numutil import refine_max
 
 
 class IntegrationError(RuntimeError):
@@ -182,34 +183,23 @@ def pf_max_coherent(atom: Atom, drive: CoherentDrive, window=None,
                     rtol=1e-8, atol=1e-10, n_scan=1200):
     """Maximum of the final-state population over the window.
 
-    Coarse scan on the dense solver output followed by golden-section
-    refinement of the bracketing interval.
+    Coarse scan on the dense solver output, refined at the root of the
+    slope d rho_ff/dt taken from the right-hand side.
     """
     if window is None:
         window = drive.default_window(atom)
     sol = _solve(atom, drive, (window.t_start, window.t_end), rtol, atol)
+    rhs = lindblad_rhs(atom, drive)
     ts = np.linspace(window.t_start, window.t_end, n_scan)
     pf = sol.sol(ts)[2]
     i = int(np.argmax(pf))
-    a = ts[max(i - 1, 0)]
-    b = ts[min(i + 1, n_scan - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    f = lambda t: float(sol.sol(t)[2])
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    tol = 1e-6 / atom.gamma_f
-    while (b - a) > tol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    tm = 0.5 * (a + b)
-    pm = f(tm)
-    if pm < pf[i]:
-        tm, pm = float(ts[i]), float(pf[i])
-    return float(tm), float(pm)
+    win = slice(max(i - 1, 0), i + 2)
+    slopes = [rhs(t, y)[2] for t, y in zip(ts[win], sol.sol(ts[win]).T)]
+
+    def trial(k):
+        def at(t):
+            y = sol.sol(t)
+            return rhs(t, y)[2], y[2]
+        return at
+
+    return refine_max(ts[win], pf[win], slopes, trial, 1e-6 / atom.gamma_f)

@@ -1,6 +1,7 @@
 """Small numerical helpers shared across modules."""
 
 import numpy as np
+from scipy.optimize import brentq
 
 
 def phi1(z):
@@ -30,3 +31,41 @@ def exp_diff_over(z, x, y):
     Equals (x - y) * exp(z*y) * phi1(z*(x - y)).
     """
     return (x - y) * np.exp(z * y) * phi1(z * (x - y))
+
+
+def refine_max(times, values, slopes, trial, xtol):
+    """Time and value of a sampled curve's maximum, refined on its slope.
+
+    ``times`` (ascending), ``values`` and ``slopes`` sample the curve at its
+    scan maximum and that sample's neighbours. The largest sample and the
+    neighbour its slope points to bracket a maximum, times[k] < times[k + 1];
+    ``trial(k)`` returns t -> (slope, value) on that bracket, and brentq
+    solves slope = 0 there to ``xtol``. Where an end's slope hides the + to -
+    sign change (it is zero on a curve that has not started yet, or a second
+    extremum lies between the samples) the bracket is first halved on the
+    slope's sign. The best point evaluated is returned, never worse than the
+    largest sample; a slope that jumps through zero leaves it within xtol of
+    the jump.
+    """
+    i = int(np.argmax(values))
+    k = i if slopes[i] > 0 else i - 1
+    if slopes[i] == 0 or not 0 <= k < len(times) - 1:
+        return float(times[i]), float(values[i])
+    at = trial(k)
+    a, b = float(times[k]), float(times[k + 1])
+    seen = {a: (slopes[k], values[k]), b: (slopes[k + 1], values[k + 1])}
+
+    def slope(t):
+        if t not in seen:
+            seen[t] = at(t)
+        return seen[t][0]
+
+    while not seen[a][0] > 0 > seen[b][0] and b - a > xtol:
+        m = 0.5 * (a + b)
+        if slope(m) == 0:
+            break
+        a, b = (m, b) if seen[m][0] > 0 else (a, m)
+    if seen[a][0] > 0 > seen[b][0]:
+        brentq(slope, a, b, xtol=xtol)
+    t = max(seen, key=lambda s: seen[s][1])
+    return t, float(seen[t][1])

@@ -29,8 +29,13 @@ def pmax_bound(atom: Atom, horizon):
     if np.any(h < 0):
         raise ValueError("horizon must be >= 0")
     hfin = np.where(np.isinf(h), 0.0, h)
-    val = 1.0 - np.exp(-ge * hfin) * (
-        1.0 + ge * hfin * np.real(phi1(-(gf - ge) * hfin)))
+    # e^{-ge h} phi1((ge - gf) h) = e^{-gf h} phi1((gf - ge) h); the second
+    # form takes over where the first one's phi1 would overflow (ge >> gf)
+    near = (ge - gf) * hfin < 700.0
+    p1 = np.real(phi1(np.where(near, ge - gf, gf - ge) * hfin))
+    val = np.where(near,
+                   1.0 - np.exp(-ge * hfin) * (1.0 + ge * hfin * p1),
+                   1.0 - np.exp(-ge * hfin) - ge * hfin * np.exp(-gf * hfin) * p1)
     out = np.where(np.isinf(h), 1.0, val)
     return float(out) if out.ndim == 0 else out
 

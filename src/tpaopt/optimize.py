@@ -187,14 +187,19 @@ def build_state(problem, params):
     raise ValueError(fam)
 
 
+def search_box(atom):
+    """((width_lo, width_hi), (delay_lo, delay_hi)) searched, in absolute units."""
+    gf = atom.gamma_f
+    # optimal delays scale with the slowest lifetime (mu* ~ 1/gamma_e)
+    slow = min(atom.gamma_e, gf)
+    return ((WIDTH_BOUNDS[0] * gf, WIDTH_BOUNDS[1] * gf),
+            (DELAY_BOUNDS[0] / slow, DELAY_BOUNDS[1] / slow))
+
+
 def _objective(problem):
     """Maximized-over-time probability as a cached function of parameters."""
     atom = problem.atom
-    gf = atom.gamma_f
-    wlo, whi = WIDTH_BOUNDS[0] * gf, WIDTH_BOUNDS[1] * gf
-    # optimal delays scale with the slowest lifetime (mu* ~ 1/gamma_e)
-    slow = min(atom.gamma_e, gf)
-    dlo, dhi = DELAY_BOUNDS[0] / slow, DELAY_BOUNDS[1] / slow
+    (wlo, whi), (dlo, dhi) = search_box(atom)
     names = _param_names(problem)
     cache = {}
 
@@ -297,7 +302,7 @@ def optimize_pulse(problem: OptimizationProblem, starts=None):
     return OptimizationResult(
         params=params, p_max=-neg_p, t_at_max=t_at,
         n_evaluations=total_evals,
-        converged=any(r["converged"] for r in records),
+        converged=best["converged"],
         simplex_diameter=best["diameter"], starts=starts_out)
 
 

@@ -416,6 +416,8 @@ def schmidt_analytic(state: EntangledGaussian, n_max=64):
         raise ValueError("n_max must be >= 1")
     op, om = state.omega_plus, state.omega_minus
     y = ((om - op) / (om + op)) ** 2
+    if y < np.finfo(float).eps:
+        y = 0.0  # 1 - y rounds to 1: a product state to double precision
     n = np.arange(n_max + 1)
     coeff = 2.0 * math.sqrt(op * om) / (op + om) * (math.sqrt(y)) ** n
     if y == 0.0:

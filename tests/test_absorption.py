@@ -182,6 +182,60 @@ class TestMaxOverT:
             assert pm == pytest.approx(pmax_bound(atom, h), abs=1e-4)
 
 
+def _dense_max(atom, st, t0, n=20001, levels=3):
+    """Largest P_f on a dense grid, re-gridded around its argmax per level."""
+    lo, hi = ab.scan_bounds(atom, st, t0)
+    for _ in range(levels):
+        t = np.linspace(lo, hi, n)
+        p = ab._pf_from_amp(atom, np.abs(ab.curve_amplitudes(atom, st, t, t0=t0)))
+        j = int(np.argmax(p))
+        lo, hi = t[max(j - 1, 0)], t[min(j + 1, n - 1)]
+        n = 2001
+    return t[j], p[j]
+
+
+# (atom, state, t0) across the optimizer's search box: widths 1e-3..1e3
+# gamma_f, omega_plus/omega_minus = 1e-6, |delta| up to 50, and states whose
+# probability peaks at a kink (support end of the rising and matched states)
+_BOX = [
+    (Atom(1.0, 1.0), GaussianProduct(1e-3, 1e-3, 0.0), -np.inf),
+    (Atom(1.0, 1.0), GaussianProduct(1e3, 1e3, 0.0), -np.inf),
+    (Atom(0.01, 1.0), GaussianProduct(0.02, 1.01, 100.0), -np.inf),
+    (Atom(100.0, 1.0), GaussianProduct(1e3, 5e2, 0.01), -np.inf),
+    (Atom(1.0, 1.0), EntangledGaussian(1e-3, 1e3, 0.0), -np.inf),
+    (Atom(0.5, 1.0), EntangledGaussian(2e-3, 2e3, 1.0), -np.inf),
+    (Atom(1.0, 1.0, 50.0, -50.0), GaussianProduct(1.0, 2.0, 0.5), -np.inf),
+    (Atom(0.5, 1.0, -50.0, 50.0), EntangledGaussian(1.0, 3.0, 1.0), -np.inf),
+    (Atom(5.0, 1.0, 50.0, 0.0), GaussianProduct(30.0, 60.0, 0.2), -np.inf),
+    (Atom(2.0, 1.0, -3.0, 40.0), DecayingExpProduct(5.0, 50.0, 0.3), -np.inf),
+    (Atom(1.0, 1.0), RisingExpProduct(0.5, 1.5), -np.inf),
+    (Atom(1.0, 1.0, 2.0, -1.0), RisingExpProduct(2.0, 0.7), -np.inf),
+    (Atom(1.0, 1.0), OptimalState(Atom(1.0, 1.0), 0.3), -np.inf),
+    (Atom(0.2, 1.0), OptimalState(Atom(0.2, 1.0), 0.0, -2.0), -2.0),
+    (Atom(1.0, 1.0), OptimalState(Atom(3.0, 1.0), 0.7, -4.0), -np.inf),
+]
+
+
+class TestMaxOverBox:
+    @pytest.mark.parametrize("atom,st,t0", _BOX)
+    def test_max_matches_dense_scan(self, atom, st, t0):
+        _, pm = ab.pf_max_over_t(atom, st, t0=t0)
+        _, p_dense = _dense_max(atom, st, t0)
+        assert abs(pm - p_dense) <= 5e-7 * p_dense
+
+    @pytest.mark.parametrize("atom,st,t0", _BOX)
+    def test_max_dominates_and_bounds_hold(self, atom, st, t0, rng):
+        tm, pm = ab.pf_max_over_t(atom, st, t0=t0)
+        lo, hi = ab.scan_bounds(atom, st, t0)
+        start = max(min(st.support1()[0], st.support2()[0]), t0)
+        for t in np.append(rng.uniform(lo, hi, size=12), tm):
+            p = ab.pf_at(atom, st, float(t), t0=t0)
+            bound = pmax_bound(atom, max(float(t) - start, 0.0))
+            assert 0.0 <= p <= bound + 1e-12
+            assert bound <= 1.0
+            assert p <= pm * (1.0 + 1e-12)
+
+
 class TestClosedForms:
     def test_rising_equal_rate_values(self):
         atom = Atom(1.0, 1.0)
@@ -238,6 +292,23 @@ class TestClosedForms:
             closed = ab.pf_decaying_closed_form(atom, om1, om2, ts, t)
             quad = ab.pf_at(atom, st, t, method="quadrature", rel_tol=1e-11)
             assert closed == pytest.approx(quad, abs=1e-8)
+
+    def test_decaying_second_pulse_first_reference_routes(self):
+        # t_shift < 0: the inner integral's kink at t2 = 0 (first pulse's
+        # start) must be an outer breakpoint of the reference routes too
+        om1, om2, ts = 0.49776, 2.48535, -0.0030127
+        atom = Atom(1.20138, 1.0, 1.70950, -1.89674)
+        t = 1.48947
+        closed = ab.pf_decaying_closed_form(atom, om1, om2, ts, t)
+        quad = ab.pf_at(atom, DecayingExpProduct(om1, om2, ts), t,
+                        method="quadrature")
+        assert quad == pytest.approx(closed, rel=1e-9)
+        om1, om2, ts = 4.72070, 4.72814, -0.060423
+        atom = Atom(1.42341, 1.0)
+        t = 0.99243
+        closed = ab.pf_decaying_closed_form(atom, om1, om2, ts, t)
+        inner = ab.pf_inner_product(atom, DecayingExpProduct(om1, om2, ts), t)
+        assert inner == pytest.approx(closed, rel=1e-9)
 
     @pytest.mark.parametrize("om1,om2", [(1.0, 2.0), (2.0, 1.0), (0.5, 0.5),
                                          (1.0, 1.0)])

@@ -127,6 +127,15 @@ def test_optimize_command_deterministic_rerun(tmp_path):
     assert d1 == d2
 
 
+def test_optimize_command_writes_actual_search_box(tmp_path):
+    # delays are bounded by 50 slowest lifetimes: 50/gamma_e = 5000/gamma_f here
+    main(["optimize", "--family", "rising-exp", "--gamma-ratio", "0.01",
+          "--n-starts", "1", "--out", str(tmp_path)])
+    doc = json.loads((tmp_path / "optimize.json").read_text())
+    assert doc["search_bounds"]["widths_gamma_f"] == pytest.approx([1e-3, 1e3])
+    assert doc["search_bounds"]["delays_gamma_f"] == pytest.approx([-5000.0, 5000.0])
+
+
 def test_sweep_family_csv_deterministic_across_jobs(tmp_path):
     base = ["sweep", "--family", "rising_exp", "--ratios", "0.5,2.0",
             "--seed", "0"]

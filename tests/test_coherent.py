@@ -81,6 +81,18 @@ def test_pf_max_tolerance_convergence():
     assert abs(p1 - p2) < 1e-7
 
 
+def test_pf_max_dominates_dense_samples():
+    atom = Atom(0.5, 1.0)
+    d = CoherentDrive(1.0, 1.0, 1.3, 2.1, 0.8)
+    tm, pm = pf_max_coherent(atom, d)
+    window = d.default_window(atom, n_samples=20001)
+    traj = evolve(atom, d, window)
+    assert pm >= traj.rho_ff.max() - 1e-12
+    # a grid sample misses the peak by at most |rho_ff''| h^2 / 8 ~ 1e-7
+    assert pm - traj.rho_ff.max() < 2e-7
+    assert abs(tm - traj.times[np.argmax(traj.rho_ff)]) <= window.span / 20000
+
+
 def test_integration_failure_surfaces(monkeypatch):
     import tpaopt.coherent as co
 

@@ -40,6 +40,15 @@ class TestPmaxBound:
         assert abs(left - mid) < 1e-9
         assert abs(right - mid) < 1e-9
 
+    def test_fast_intermediate_state_long_horizon(self):
+        # 1 - e^{-ge h} - ge/(ge - gf) (e^{-gf h} - e^{-ge h}), also where
+        # e^{(ge - gf) h} alone would overflow a double ((ge - gf) h > 709)
+        atom = Atom(100.0, 1.0)
+        for h in (7.0, 7.2, 8.0, 30.0, 1e5):
+            exact = 1.0 - 100.0 / 99.0 * math.exp(-h)
+            assert pmax_bound(atom, h) == pytest.approx(exact, rel=1e-12)
+        assert pmax_bound(Atom(1e3, 1e-3), 1e6) == pytest.approx(1.0, rel=1e-12)
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             pmax_bound(Atom(1.0, 1.0), -0.1)

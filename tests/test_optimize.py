@@ -140,6 +140,20 @@ def test_result_serialization(tmp_path):
     assert doc["converged"] is True
 
 
+def test_converged_is_the_chosen_starts_flag(monkeypatch):
+    # the best start stops unconverged at its evaluation budget; a worse
+    # start converges: the result must carry the best start's flag
+    import tpaopt.optimize as opt
+    runs = iter([(np.array([0.0, 0.0]), -0.5, 200, False, 1e-3),
+                 (np.array([0.1, 0.1]), -0.4, 150, True, 1e-6)])
+    monkeypatch.setattr(opt, "nelder_mead", lambda *a, **k: next(runs))
+    res = optimize_pulse(OptimizationProblem(Atom(1.0, 1.0), "rising_exp",
+                                             n_starts=2))
+    chosen = max(res.starts, key=lambda s: s["value"])
+    assert chosen["converged"] is False
+    assert res.converged is chosen["converged"]
+
+
 def test_problem_round_trip():
     p = OptimizationProblem(Atom(2.0, 1.0, 0.1, -0.2), "entangled_gaussian",
                             mu_free=False, n_starts=3, seed=5)

@@ -81,6 +81,11 @@ class TestSchmidtAnalytic:
         assert np.all(res.coefficients[1:] == 0)
         assert res.entropy_bits == 0.0
 
+    def test_widths_one_ulp_apart_are_a_product_state(self):
+        res = schmidt_analytic(EntangledGaussian(0.2, 0.20000000000000004, 0.0))
+        assert res.entropy_bits == 0.0
+        assert np.all(res.coefficients[1:] == 0)
+
     def test_one_three(self):
         res = schmidt_analytic(EntangledGaussian(1.0, 3.0, 0.0), n_max=200)
         assert res.coefficients[0] == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
