@@ -545,13 +545,6 @@ def pf_max_rising(atom: Atom):
     return om1, om2, p
 
 
-def rising_mean_delay(atom: Atom):
-    """Arrival-time gap of the optimal rising pulses, in 1/gamma_f units."""
-    r = atom.ratio
-    s = math.sqrt(1.0 + 8.0 * r)
-    return 16.0 / (atom.gamma_f * (s - 1.0) * (s + 3.0))
-
-
 def pf_decaying_closed_form(atom: Atom, omega1, omega2, t_shift, t):
     """Analytic P_f(t) for decaying exponential pulses with a shifted second pulse.
 

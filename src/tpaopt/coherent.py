@@ -2,22 +2,27 @@
 
 Two classical Gaussian pulses with mean photon numbers n1, n2 drive the two
 transitions; the atomic density matrix obeys a Lindblad equation whose six
-independent components (three populations, three coherences) are integrated
-as a 9-real-component system with an embedded adaptive Runge-Kutta pair.
+independent components (three populations, three coherences) form a linear
+9-real-component system y' = M(t) y, M(t) = a0 + e1(t) a1 + e2(t) a2.
+`evolve` integrates it with scipy's ``solve_ivp`` (RK45) and is the reference
+route; `pf_max_coherent` steps the same Dormand-Prince 5(4) pair with the
+same step control through a stepper written for the linear system, which
+builds each step's stage generators in one matrix product.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from .model import Atom, TimeWindow
 from .numutil import refine_max
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive step-size control failed (underflow or unreachable tolerance)."""
+    """Adaptive step-size control failed (underflow or non-finite error)."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,22 @@ def lindblad_rhs(atom: Atom, drive: CoherentDrive):
     return rhs
 
 
+def _generators(atom: Atom, drive: CoherentDrive):
+    """times -> stack of generators M(t), shape (len(times), 9, 9)."""
+    basis = np.stack(_system_matrices(atom)).reshape(3, 81)
+    c1 = math.sqrt(atom.gamma_e * drive.n1)
+    c2 = math.sqrt(atom.gamma_f * drive.n2)
+
+    def at(ts):
+        coef = np.empty((ts.size, 3))
+        coef[:, 0] = 1.0
+        coef[:, 1] = c1 * drive.envelope1(ts)
+        coef[:, 2] = c2 * drive.envelope2(ts)
+        return (coef @ basis).reshape(-1, 9, 9)
+
+    return at
+
+
 @dataclass(frozen=True)
 class DensityTrajectory:
     """Sampled density-matrix components; trace preserved to 1e-8."""
@@ -150,22 +171,21 @@ class DensityTrajectory:
             fh.write("\n".join(lines) + "\n")
 
 
-def _solve(atom, drive, t_span, rtol, atol, dense=True):
-    y0 = np.zeros(9)
-    y0[0] = 1.0  # ground state at t0
-    sol = solve_ivp(lindblad_rhs(atom, drive), t_span, y0, method="RK45",
-                    rtol=rtol, atol=atol, dense_output=dense)
-    if not sol.success:
-        raise IntegrationError(sol.message)
-    return sol
-
-
 def evolve(atom: Atom, drive: CoherentDrive, window: TimeWindow | None = None,
            rtol=1e-8, atol=1e-10):
-    """Integrate the driven master equation and sample on the window grid."""
+    """Integrate the driven master equation and sample on the window grid.
+
+    This is the reference route: scipy's ``solve_ivp`` (RK45) on
+    `lindblad_rhs`, sampled through its dense output.
+    """
     if window is None:
         window = drive.default_window(atom)
-    sol = _solve(atom, drive, (window.t_start, window.t_end), rtol, atol)
+    y0 = np.zeros(9)
+    y0[0] = 1.0  # ground state at t0
+    sol = solve_ivp(lindblad_rhs(atom, drive), (window.t_start, window.t_end),
+                    y0, method="RK45", rtol=rtol, atol=atol, dense_output=True)
+    if not sol.success:
+        raise IntegrationError(sol.message)
     ts = window.grid()
     y = sol.sol(ts)
     return DensityTrajectory(
@@ -179,27 +199,133 @@ def evolve(atom: Atom, drive: CoherentDrive, window: TimeWindow | None = None,
     )
 
 
+# Dormand-Prince 5(4): stage nodes C, couplings A, weights B, error weights E
+# and dense-output matrix P, exactly as solve_ivp's RK45 uses them
+_A, _B, _C, _E, _P = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
+# the inputs of stages 1-5 (rows 1-5) and the fifth-order solution (row 6)
+# as weights on (y, k_0, ..., k_5); a step scales them by h and sets the
+# weight of y, column 0, to 1
+_WEIGHTS = np.zeros((7, 7))
+_WEIGHTS[1:6, 1:6] = _A[1:]
+_WEIGHTS[6, 1:] = _B
+
+
+def _rms(x):
+    return math.sqrt(x @ x / x.size)
+
+
+@dataclass(frozen=True)
+class _Steps:
+    """Accepted steps: ends t (n+1,), states y (n+1, 9), dense q (n, 9, 4)."""
+
+    t: np.ndarray
+    y: np.ndarray
+    q: np.ndarray
+
+    def __call__(self, ts, rows=slice(None)):
+        """Dense output at the times ts, shape (len(ts), rows of y).
+
+        A time on a step end takes the earlier step, as solve_ivp does.
+        """
+        seg = np.clip(np.searchsorted(self.t, ts) - 1, 0, len(self.q) - 1)
+        h = self.t[seg + 1] - self.t[seg]
+        powers = np.cumprod(np.repeat(((ts - self.t[seg]) / h)[:, None], 4, 1), 1)
+        return (h[:, None] * np.einsum("nij,nj->ni", self.q[seg, rows], powers)
+                + self.y[seg, rows])
+
+
+def _dormand_prince(generators, t0, t1, rtol, atol):
+    """Dormand-Prince 5(4) steps of y' = M(t) y from the ground state at t0.
+
+    Initial step and step control are solve_ivp's RK45 ones (safety 0.9,
+    step factor within 0.2...10, no growth right after a rejected step,
+    minimum step 10 ulp of t, rtol floored at 100 eps with a warning), so
+    rtol and atol mean what they mean there. A step-size underflow or a
+    non-finite error norm raises `IntegrationError`.
+    """
+    if rtol < 100 * np.finfo(float).eps:
+        warnings.warn(f"rtol {rtol} is below 100 eps; using 100 eps", stacklevel=3)
+        rtol = 100 * np.finfo(float).eps
+    if atol < 0:
+        raise ValueError("atol must be >= 0")
+    y = np.zeros(9)
+    y[0] = 1.0
+    f = generators(np.array([t0]))[0] @ y
+
+    # initial step (Hairer, Norsett & Wanner, Sec. II.4), as select_initial_step
+    span = t1 - t0
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = generators(np.array([t0 + h0]))[0] @ (y + h0 * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, span)
+
+    z = np.empty((8, 9))   # y, then the stages k_0 ... k_6 of a step
+    t = t0
+    ts, ys, qs = [t], [y], []
+    while t < t1:
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        z[0], z[1] = y, f
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"step size underflow at t = {t!r}")
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            m = generators(t + _C[1:] * h)
+            w = h * _WEIGHTS
+            w[:, 0] = 1.0
+            for s in range(1, 6):
+                z[s + 1] = m[s - 1] @ (w[s, :s + 1] @ z[:s + 1])
+            y_new = w[6] @ z[:7]
+            z[7] = f_new = m[4] @ y_new   # C[5] = 1: the last stage is at t + h
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms((h * _E) @ z[1:] / scale)
+            if not math.isfinite(err):
+                raise IntegrationError(f"non-finite error norm at t = {t!r}")
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        qs.append(z[1:].T @ _P)
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return _Steps(np.array(ts), np.array(ys), np.array(qs))
+
+
 def pf_max_coherent(atom: Atom, drive: CoherentDrive, window=None,
                     rtol=1e-8, atol=1e-10, n_scan=1200):
     """Maximum of the final-state population over the window.
 
-    Coarse scan on the dense solver output, refined at the root of the
-    slope d rho_ff/dt taken from the right-hand side.
+    The master equation is stepped once by `_dormand_prince` (solve_ivp's
+    RK45 step control, so rtol/atol mean the same as for `evolve`); rho_ff
+    is scanned on n_scan points of its dense output and the maximum refined
+    by `refine_max` at the root of the slope d rho_ff/dt, row 2 of M(t) y.
     """
     if window is None:
         window = drive.default_window(atom)
-    sol = _solve(atom, drive, (window.t_start, window.t_end), rtol, atol)
-    rhs = lindblad_rhs(atom, drive)
+    generators = _generators(atom, drive)
+    steps = _dormand_prince(generators, window.t_start, window.t_end, rtol, atol)
     ts = np.linspace(window.t_start, window.t_end, n_scan)
-    pf = sol.sol(ts)[2]
+    pf = steps(ts, slice(2, 3))[:, 0]
     i = int(np.argmax(pf))
     win = slice(max(i - 1, 0), i + 2)
-    slopes = [rhs(t, y)[2] for t, y in zip(ts[win], sol.sol(ts[win]).T)]
+    slopes = np.einsum("ij,ij->i", generators(ts[win])[:, 2], steps(ts[win]))
 
     def trial(k):
         def at(t):
-            y = sol.sol(t)
-            return rhs(t, y)[2], y[2]
+            y = steps(np.array([t]))[0]
+            return generators(np.array([t]))[0, 2] @ y, y[2]
         return at
 
     return refine_max(ts[win], pf[win], slopes, trial, 1e-6 / atom.gamma_f)

@@ -25,14 +25,6 @@ def phi1(z):
     return out[0] if scalar else out
 
 
-def exp_diff_over(z, x, y):
-    """Evaluate (exp(z*x) - exp(z*y))/z, stable as z -> 0.
-
-    Equals (x - y) * exp(z*y) * phi1(z*(x - y)).
-    """
-    return (x - y) * np.exp(z * y) * phi1(z * (x - y))
-
-
 def refine_max(times, values, slopes, trial, xtol):
     """Time and value of a sampled curve's maximum, refined on its slope.
 

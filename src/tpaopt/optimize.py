@@ -187,6 +187,15 @@ def build_state(problem, params):
     raise ValueError(fam)
 
 
+def max_over_time(problem, obj):
+    """(t_at_max, p_max) of a built state or drive; coherent drives are
+    integrated to the problem's ``coherent_rtol`` (atol = rtol / 100)."""
+    if problem.family == "coherent":
+        return coherent.pf_max_coherent(problem.atom, obj, rtol=problem.coherent_rtol,
+                                        atol=problem.coherent_rtol * 1e-2)
+    return absorption.pf_max_over_t(problem.atom, obj)
+
+
 def search_box(atom):
     """((width_lo, width_hi), (delay_lo, delay_hi)) searched, in absolute units."""
     gf = atom.gamma_f
@@ -198,8 +207,7 @@ def search_box(atom):
 
 def _objective(problem):
     """Maximized-over-time probability as a cached function of parameters."""
-    atom = problem.atom
-    (wlo, whi), (dlo, dhi) = search_box(atom)
+    (wlo, whi), (dlo, dhi) = search_box(problem.atom)
     names = _param_names(problem)
     cache = {}
 
@@ -218,13 +226,7 @@ def _objective(problem):
         if penalty > 0:
             cache[key] = (2.0 + penalty, 0.0)
             return cache[key]
-        params = _decode(problem, x)
-        obj = build_state(problem, params)
-        if problem.family == "coherent":
-            tm, pm = coherent.pf_max_coherent(atom, obj, rtol=problem.coherent_rtol,
-                                              atol=problem.coherent_rtol * 1e-2)
-        else:
-            tm, pm = absorption.pf_max_over_t(atom, obj)
+        tm, pm = max_over_time(problem, build_state(problem, _decode(problem, x)))
         cache[key] = (-pm, tm)
         return cache[key]
 

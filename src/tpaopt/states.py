@@ -428,10 +428,6 @@ def schmidt_analytic(state: EntangledGaussian, n_max=64):
     return SchmidtResult(coeff, entropy, trunc)
 
 
-def entanglement_entropy_bits(state: EntangledGaussian):
-    return schmidt_analytic(state, n_max=1).entropy_bits
-
-
 def hermite_mode(state: EntangledGaussian, n):
     """n-th Schmidt mode of the entangled Gaussian (photon-1 convention).
 

@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import coherent
 from .model import Atom
 from .optimize import (OptimizationProblem, build_state, default_starts,
-                       nelder_mead, optimize_pulse)
+                       max_over_time, nelder_mead, optimize_pulse)
 from .states import EntangledGaussian, GaussianProduct, schmidt_analytic
 
 
@@ -28,27 +27,6 @@ def _jsonable(x):
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
     return x
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Axis definitions plus the per-point task for a sweep run."""
-
-    family: str
-    axes: tuple                      # ((name, values), ...) one or two axes
-    mu_free: bool = True
-    gamma_ratio: float = 1.0
-    policy: str = "reoptimize"       # sensitivity maps: "reoptimize" | "frozen"
-    seed: int = 0
-    n_starts: int = 8
-    output: str | None = None
-
-    def __post_init__(self):
-        if not (1 <= len(self.axes) <= 2):
-            raise ValueError("at most 2 axes")
-        for _, vals in self.axes:
-            if len(vals) < 2:
-                raise ValueError("each axis needs >= 2 points")
 
 
 @dataclass(frozen=True)
@@ -129,9 +107,9 @@ def _sensitivity_cell(args):
     atom = Atom(ratio, 1.0)
     if policy == "frozen":
         params = {"mu": mu_frozen}
-        p = _cell_params(family, w1, w2, params)
-        state = build_state(OptimizationProblem(atom, family), p)
-        pm = _pmax_of(atom, family, state)
+        problem = OptimizationProblem(atom, family)
+        state = build_state(problem, _cell_params(family, w1, w2, params))
+        pm = max_over_time(problem, state)[1]
         return {"p_max": pm, "mu": mu_frozen, "converged": True}
     # re-optimize the delay at fixed widths (1-D simplex)
     problem = OptimizationProblem(atom, family, mu_free=True, seed=seed)
@@ -141,7 +119,7 @@ def _sensitivity_cell(args):
         def negp(xv):
             p = _cell_params(family, w1, w2, {"mu": float(xv[0])})
             state = build_state(problem, p)
-            return -_pmax_of(atom, family, state)
+            return -max_over_time(problem, state)[1]
         x, fx, nev, conv, _ = nelder_mead(
             negp, np.array([mu0]), np.array([max(0.5 / atom.gamma_e, 0.05)]),
             max_evals=220)
@@ -158,13 +136,6 @@ def _cell_params(family, w1, w2, extra):
         p = {"omega1": w1, "omega2": w2}
     p.update(extra)
     return p
-
-
-def _pmax_of(atom, family, state):
-    from .absorption import pf_max_over_t
-    if family == "coherent":
-        return coherent.pf_max_coherent(atom, state, rtol=1e-7, atol=1e-9)[1]
-    return pf_max_over_t(atom, state)[1]
 
 
 def sensitivity_map(atom: Atom, family, axis1, axis2, delay_policy="reoptimize",

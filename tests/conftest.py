@@ -3,13 +3,17 @@
 The oracles here are deliberately independent of the package's numerical
 paths: a dense two-dimensional cumulative-trapezoid evaluation of the
 excitation probability, and a fixed-step classical Runge-Kutta integrator
-for the driven master equation.
+for the driven master equation. The coherent maximum also has a reference
+route through scipy's ``solve_ivp`` on the package's right-hand side.
 """
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from tpaopt.coherent import lindblad_rhs
 from tpaopt.model import Atom
+from tpaopt.numutil import refine_max
 from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, OptimalState, RisingExpProduct)
 
@@ -57,6 +61,34 @@ def rk4_fixed_step(rhs, y0, t0, t1, dt):
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i + 1] = y
     return ts, out
+
+
+def pf_max_coherent_reference(atom, drive, rtol, atol, n_scan=1200):
+    """Coherent maximum through solve_ivp (RK45) and its dense output.
+
+    Same scan and refiner as ``coherent.pf_max_coherent``, with every state
+    and slope taken from scipy's solver on ``lindblad_rhs``.
+    """
+    window = drive.default_window(atom)
+    rhs = lindblad_rhs(atom, drive)
+    y0 = np.zeros(9)
+    y0[0] = 1.0
+    sol = solve_ivp(rhs, (window.t_start, window.t_end), y0, method="RK45",
+                    rtol=rtol, atol=atol, dense_output=True)
+    assert sol.success, sol.message
+    ts = np.linspace(window.t_start, window.t_end, n_scan)
+    pf = sol.sol(ts)[2]
+    i = int(np.argmax(pf))
+    win = slice(max(i - 1, 0), i + 2)
+    slopes = [rhs(t, y)[2] for t, y in zip(ts[win], sol.sol(ts[win]).T)]
+
+    def trial(k):
+        def at(t):
+            y = sol.sol(t)
+            return rhs(t, y)[2], y[2]
+        return at
+
+    return refine_max(ts[win], pf[win], slopes, trial, 1e-6 / atom.gamma_f)
 
 
 def random_state(rng, family=None):

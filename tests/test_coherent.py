@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from tpaopt.coherent import (CoherentDrive, DensityTrajectory,
-                             IntegrationError, evolve, lindblad_rhs,
-                             pf_max_coherent)
+                             IntegrationError, _dormand_prince, _generators,
+                             evolve, lindblad_rhs, pf_max_coherent)
 from tpaopt.model import Atom, TimeWindow
-from conftest import rk4_fixed_step
+from conftest import pf_max_coherent_reference, rk4_fixed_step
 
 
 def test_drive_validation():
@@ -91,6 +91,61 @@ def test_pf_max_dominates_dense_samples():
     # a grid sample misses the peak by at most |rho_ff''| h^2 / 8 ~ 1e-7
     assert pm - traj.rho_ff.max() < 2e-7
     assert abs(tm - traj.times[np.argmax(traj.rho_ff)]) <= window.span / 20000
+
+
+def _seeded_drives(n, seed=5):
+    """Atoms with gamma_e/gamma_f in 0.01...100 and detunings in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        ge = 10 ** rng.uniform(-2, 2)
+        atom = Atom(ge, 1.0, rng.uniform(-1, 1), rng.uniform(-1, 1))
+        yield atom, CoherentDrive(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
+                                  ge * 10 ** rng.uniform(-0.3, 0.7),
+                                  10 ** rng.uniform(-0.3, 0.7),
+                                  rng.uniform(-0.5, 1.5) / ge)
+
+
+@pytest.mark.parametrize("rtol", [1e-7, 1e-10])
+def test_pf_max_matches_solve_ivp_route(rtol):
+    # same RK45 steps as solve_ivp, so the same maximum up to rounding
+    for atom, d in _seeded_drives(30):
+        tm, pm = pf_max_coherent(atom, d, rtol=rtol, atol=rtol * 1e-2)
+        tr, pr = pf_max_coherent_reference(atom, d, rtol=rtol, atol=rtol * 1e-2)
+        assert pm == pytest.approx(pr, rel=1e-9, abs=0.0)
+        assert abs(tm - tr) <= 1e-9 / atom.gamma_f
+
+
+@pytest.mark.parametrize("rtol", [1e-7, 1e-10])
+def test_stepper_preserves_trace(rtol):
+    for atom, d in _seeded_drives(30):
+        window = d.default_window(atom)
+        steps = _dormand_prince(_generators(atom, d), window.t_start,
+                                window.t_end, rtol, rtol * 1e-2)
+        assert steps.t[0] == window.t_start and steps.t[-1] == window.t_end
+        assert np.max(np.abs(steps.y[:, :3].sum(axis=1) - 1.0)) <= 1e-8
+
+
+def test_stepper_nonfinite_error_raises():
+    # atol = 0 leaves the components that stay zero (the imaginary parts on
+    # resonance) without a scale, so the error norm is 0/0
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationError, match="non-finite"):
+        pf_max_coherent(Atom(1.0, 1.0), CoherentDrive(1.0, 1.0, 1.0, 1.0), atol=0.0)
+
+
+def test_stepper_step_underflow_raises():
+    # near t = 1e17 ten ulp are 160, far above the step y' = -y can take
+    def decay(ts):
+        return np.broadcast_to(-np.eye(9), (len(ts), 9, 9))
+    with pytest.raises(IntegrationError, match="underflow"):
+        _dormand_prince(decay, 1e17, 1e17 + 1e4, 1e-8, 1e-10)
+
+
+def test_rtol_below_floor_warns_and_is_floored():
+    atom, d = Atom(1.0, 1.0), CoherentDrive(1.0, 1.0, 1.1, 1.7, 0.5)
+    with pytest.warns(UserWarning, match="rtol"):
+        low = pf_max_coherent(atom, d, rtol=1e-17, atol=1e-8)
+    assert low == pf_max_coherent(atom, d, rtol=100 * np.finfo(float).eps, atol=1e-8)
 
 
 def test_integration_failure_surfaces(monkeypatch):
