@@ -46,18 +46,21 @@ def refine_max(times, values, slopes, trial, xtol):
     at = trial(k)
     a, b = float(times[k]), float(times[k + 1])
     seen = {a: (slopes[k], values[k]), b: (slopes[k + 1], values[k + 1])}
-
-    def slope(t):
-        if t not in seen:
-            seen[t] = at(t)
-        return seen[t][0]
-
     while not seen[a][0] > 0 > seen[b][0] and b - a > xtol:
         m = 0.5 * (a + b)
-        if slope(m) == 0:
+        if _slope(m, seen, at) == 0:
             break
         a, b = (m, b) if seen[m][0] > 0 else (a, m)
     if seen[a][0] > 0 > seen[b][0]:
-        brentq(slope, a, b, xtol=xtol)
+        # the state goes through args, not a closure: brentq's nan guard
+        # refers to itself, and a closure it held would join that cycle
+        brentq(_slope, a, b, args=(seen, at), xtol=xtol)
     t = max(seen, key=lambda s: seen[s][1])
     return t, float(seen[t][1])
+
+
+def _slope(t, seen, at):
+    """Slope at t from the memo ``seen`` of (slope, value), filled by ``at``."""
+    if t not in seen:
+        seen[t] = at(t)
+    return seen[t][0]

@@ -1,11 +1,17 @@
-"""Derivative-free maximization of the excitation probability over pulse shapes.
+"""Maximization of the excitation probability over pulse shapes.
 
-A hand-rolled Nelder-Mead simplex runs in transformed coordinates (log for
-spectral widths, identity for delays) from a deterministic set of multistart
-seeds spanning the atomic linewidth scales. Convergence requires both a
-relative simplex diameter below 1e-5 and an objective spread below 1e-9;
-ties between converged starts are broken toward the lexicographically
-smallest parameter vector for reproducibility.
+Parameters live in transformed coordinates (log for spectral widths,
+identity for delays) inside the search box of `search_box`, and a
+deterministic set of multistart seeds spans the atomic linewidth scales.
+The two-photon families climb with bounded L-BFGS-B (`lbfgs_trust`) on a
+gradient from the envelope theorem: the time maximum t* has zero time slope,
+so the gradient of p_max is the parameter derivative of P_f at fixed t*,
+taken by central differences of the fast route. Each run is confined to a
+trust box around its centre and re-centred while it stops on an inner face
+of that box. Coherent drives keep the derivative-free Nelder-Mead simplex.
+The starts run in order until two of them agree to 1e-9; ties between the
+starts that ran are broken toward the lexicographically smallest parameter
+vector for reproducibility.
 """
 
 import json
@@ -13,6 +19,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy.optimize import minimize
 
 from . import absorption, coherent
 from .model import Atom
@@ -21,6 +28,8 @@ from .states import (DecayingExpProduct, EntangledGaussian, GaussianProduct,
 
 WIDTH_BOUNDS = (1e-3, 1e3)   # in gamma_f units
 DELAY_BOUNDS = (-50.0, 50.0)  # in units of the slowest lifetime
+TIE = 1e-9                    # starts this close to the best value agree
+AGREEING_STARTS = 2           # the multistart stops once this many agree
 
 _FAMILIES = ("gaussian_product", "entangled_gaussian", "rising_exp",
              "decaying_exp", "coherent")
@@ -58,15 +67,16 @@ class OptimizationResult:
     t_at_max: float
     n_evaluations: int
     converged: bool
-    simplex_diameter: float
+    stationarity: float
     starts: list = field(default_factory=list)
+    skipped_starts: list = field(default_factory=list)
 
     def to_dict(self):
         return {"params": self.params, "p_max": self.p_max,
                 "t_at_max": self.t_at_max, "n_evaluations": self.n_evaluations,
                 "converged": self.converged,
-                "simplex_diameter": self.simplex_diameter,
-                "starts": self.starts}
+                "stationarity": self.stationarity,
+                "starts": self.starts, "skipped_starts": self.skipped_starts}
 
     def to_json(self, path):
         with open(path, "w") as fh:
@@ -131,6 +141,37 @@ def nelder_mead(f, x0, steps, diam_tol=1e-5, spread_tol=1e-9, max_evals=2000):
     simplex = [simplex[i] for i in order]
     fvals = [fvals[i] for i in order]
     return simplex[0], fvals[0], evals[0], False, diameter()
+
+
+def lbfgs_trust(fg, x0, lo, hi, radius, max_evals):
+    """Minimize f by L-BFGS-B in the box [lo, hi], one trust box at a time.
+
+    ``fg(x)`` returns (f, gradient). Each run is confined to x_c +- radius
+    (intersected with the box) around its centre x_c; while it stops on a
+    face of that trust box that is not a face of [lo, hi], it is re-centred
+    there and run again, so no quasi-Newton step leaves the neighbourhood
+    of the path. Returns (x, fx, n_evals, converged, stationarity):
+    converged means the last run succeeded off every inner trust face, and
+    stationarity is the max-norm of the projected gradient on [lo, hi].
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    n_evals = 0
+    while True:
+        tlo, thi = np.maximum(lo, x - radius), np.minimum(hi, x + radius)
+        # gtol sits above the difference quotients' noise (a few 1e-8 at
+        # delay steps of 1e-6), below which the line search fails instead;
+        # both stops leave p_max within about 1e-11 relative of the optimum
+        res = minimize(fg, x, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(tlo, thi)),
+                       options={"maxfun": max(max_evals - n_evals, 1),
+                                "ftol": 1e-13, "gtol": 1e-7})
+        n_evals += res.nfev
+        x = res.x
+        inner_face = np.any(((x <= tlo) & (tlo > lo)) | ((x >= thi) & (thi < hi)))
+        if not inner_face or n_evals >= max_evals:
+            break
+    stationarity = float(np.max(np.abs(np.clip(x - res.jac, lo, hi) - x)))
+    return x, float(res.fun), n_evals, bool(res.success) and not inner_face, stationarity
 
 
 def _param_names(problem):
@@ -205,24 +246,32 @@ def search_box(atom):
             (DELAY_BOUNDS[0] / slow, DELAY_BOUNDS[1] / slow))
 
 
-def _objective(problem):
-    """Maximized-over-time probability as a cached function of parameters."""
+def _encoded_box(problem):
+    """Lower and upper bounds of `search_box` in the encoded coordinates."""
     (wlo, whi), (dlo, dhi) = search_box(problem.atom)
     names = _param_names(problem)
+    return (np.array([math.log(wlo) if _is_width(n) else dlo for n in names]),
+            np.array([math.log(whi) if _is_width(n) else dhi for n in names]))
+
+
+def _scales(problem):
+    """Step scale per encoded coordinate: 1 in a log width, and in a delay
+    the larger of half the intermediate and a tenth of the final lifetime."""
+    delay = max(0.5 / problem.atom.gamma_e, 0.1 / problem.atom.gamma_f)
+    return np.array([1.0 if _is_width(n) else delay for n in _param_names(problem)])
+
+
+def _objective(problem):
+    """Maximized-over-time probability as a cached function of parameters;
+    points outside the search box get a penalty instead (for the simplex)."""
+    lo, hi = _encoded_box(problem)
     cache = {}
 
     def evaluate(x):
         key = tuple(np.round(x, 12))
         if key in cache:
             return cache[key]
-        penalty = 0.0
-        for name, v in zip(names, x):
-            if _is_width(name):
-                if not (math.log(wlo) <= v <= math.log(whi)):
-                    penalty += abs(v - np.clip(v, math.log(wlo), math.log(whi)))
-            else:
-                if not (dlo <= v <= dhi):
-                    penalty += abs(v - np.clip(v, dlo, dhi))
+        penalty = sum(abs(v - np.clip(v, a, b)) for v, a, b in zip(x, lo, hi))
         if penalty > 0:
             cache[key] = (2.0 + penalty, 0.0)
             return cache[key]
@@ -231,6 +280,34 @@ def _objective(problem):
         return cache[key]
 
     return evaluate
+
+
+def _envelope_gradient(problem, evaluate):
+    """fg(x) = (-p_max, -gradient of p_max) of a two-photon family.
+
+    At the refined maximum t* the time slope of P_f is zero, so (envelope
+    theorem) the gradient of p_max(x) = P_f(t*(x), x) is the partial
+    derivative of P_f at fixed t*: a central difference of the fast route,
+    with steps clipped to the search box.
+    """
+    lo, hi = _encoded_box(problem)
+    steps = 1e-5 * _scales(problem)
+
+    def pf(x, t):
+        state = build_state(problem, _decode(problem, x))
+        return absorption.pf_at(problem.atom, state, t, method="fast")
+
+    def fg(x):
+        neg_p, t_at = evaluate(x)
+        grad = np.empty(x.size)
+        for i, h in enumerate(steps):
+            up, down = x.copy(), x.copy()
+            up[i] = min(x[i] + h, hi[i])
+            down[i] = max(x[i] - h, lo[i])
+            grad[i] = (pf(up, t_at) - pf(down, t_at)) / (up[i] - down[i])
+        return neg_p, -grad
+
+    return fg
 
 
 def default_starts(problem):
@@ -267,34 +344,50 @@ def default_starts(problem):
 
 
 def optimize_pulse(problem: OptimizationProblem, starts=None):
-    """Multistart simplex search; returns the best converged point.
+    """Multistart search; returns the best point of the starts that ran.
 
-    Seeds are jittered (log-normally for widths) by the problem seed when it
-    is nonzero; results are deterministic for a fixed seed.
+    Two-photon families climb by `lbfgs_trust` on the envelope gradient
+    inside the search box; coherent drives by `nelder_mead`. The starts run
+    in order until AGREEING_STARTS of them lie within TIE of the best value
+    so far; the rest are listed in ``skipped_starts``. Seeds are jittered
+    (log-normally for widths) by the problem seed when it is nonzero;
+    results are deterministic for a fixed seed.
     """
     evaluate = _objective(problem)
     if starts is None:
         starts = default_starts(problem)
+    if not starts:
+        raise ValueError("optimize_pulse needs at least one start")
     rng = np.random.default_rng(problem.seed)
-    names = _param_names(problem)
+    scales = _scales(problem)
+    per_start = max(problem.max_evals // max(len(starts), 1), 200)
+    if problem.family == "coherent":
+        steps = np.array([0.3 if _is_width(n) else s
+                          for n, s in zip(_param_names(problem), scales)])
+
+        def climb(x0):
+            return nelder_mead(lambda v: evaluate(v)[0], x0, steps, max_evals=per_start)
+    else:
+        fg = _envelope_gradient(problem, evaluate)
+        lo, hi = _encoded_box(problem)
+
+        def climb(x0):
+            return lbfgs_trust(fg, x0, lo, hi, 2.0 * scales, per_start)
     records = []
     total_evals = 0
-    per_start = max(problem.max_evals // max(len(starts), 1), 200)
     for i, p in enumerate(starts):
         x0 = _encode(problem, p)
         if problem.seed != 0 and i > 0:
             jitter = rng.normal(0.0, 0.05, size=x0.size)
             x0 = x0 + jitter
-        steps = np.array([0.3 if _is_width(n) else
-                          max(0.5 / problem.atom.gamma_e, 0.1 / problem.atom.gamma_f)
-                          for n in names])
-        x, fx, nev, conv, diam = nelder_mead(
-            lambda v: evaluate(v)[0], x0, steps, max_evals=per_start)
+        x, fx, nev, conv, stat = climb(x0)
         total_evals += nev
         records.append({"start": dict(p), "value": -fx, "converged": conv,
-                        "n_evals": nev, "x": x, "diameter": diam})
-    best_val = max(r["value"] for r in records)
-    near = [r for r in records if r["value"] >= best_val - 1e-9]
+                        "n_evals": nev, "x": x, "stationarity": stat})
+        best_val = max(r["value"] for r in records)
+        near = [r for r in records if r["value"] >= best_val - TIE]
+        if len(near) >= AGREEING_STARTS:
+            break
     best = min(near, key=lambda r: tuple(r["x"]))
     params = _decode(problem, best["x"])
     neg_p, t_at = evaluate(best["x"])
@@ -305,7 +398,8 @@ def optimize_pulse(problem: OptimizationProblem, starts=None):
         params=params, p_max=-neg_p, t_at_max=t_at,
         n_evaluations=total_evals,
         converged=best["converged"],
-        simplex_diameter=best["diameter"], starts=starts_out)
+        stationarity=best["stationarity"], starts=starts_out,
+        skipped_starts=[dict(p) for p in starts[len(records):]])
 
 
 def asymptotic_checks(family, ratio_list, mu_free=True, n_starts=8, seed=0,

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,22 @@ def test_pf_max_dominates_dense_samples():
     # a grid sample misses the peak by at most |rho_ff''| h^2 / 8 ~ 1e-7
     assert pm - traj.rho_ff.max() < 2e-7
     assert abs(tm - traj.times[np.argmax(traj.rho_ff)]) <= window.span / 20000
+
+
+def test_pf_max_leaves_no_reference_cycle():
+    # the stepped solution must be freed by reference counting, not held
+    # in a cycle until the next collection
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        pf_max_coherent(Atom(1.0, 1.0), CoherentDrive(1.0, 1.0, 1.76, 2.8, 0.68))
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert "_Steps" not in leaked and "CoherentDrive" not in leaked
 
 
 def _seeded_drives(n, seed=5):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tpaopt.optimize as opt
 from tpaopt import absorption
 from tpaopt.model import Atom
 from tpaopt.optimize import (OptimizationProblem, OptimizationResult,
@@ -138,20 +139,117 @@ def test_result_serialization(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["p_max"] == pytest.approx(res.p_max)
     assert doc["converged"] is True
+    assert doc["skipped_starts"] == []  # with two starts both always run
 
 
 def test_converged_is_the_chosen_starts_flag(monkeypatch):
     # the best start stops unconverged at its evaluation budget; a worse
     # start converges: the result must carry the best start's flag
-    import tpaopt.optimize as opt
     runs = iter([(np.array([0.0, 0.0]), -0.5, 200, False, 1e-3),
                  (np.array([0.1, 0.1]), -0.4, 150, True, 1e-6)])
-    monkeypatch.setattr(opt, "nelder_mead", lambda *a, **k: next(runs))
+    monkeypatch.setattr(opt, "lbfgs_trust", lambda *a, **k: next(runs))
     res = optimize_pulse(OptimizationProblem(Atom(1.0, 1.0), "rising_exp",
                                              n_starts=2))
     chosen = max(res.starts, key=lambda s: s["value"])
     assert chosen["converged"] is False
     assert res.converged is chosen["converged"]
+
+
+def test_multistart_stops_once_two_starts_agree(monkeypatch):
+    # the third start agrees with the second within the 1e-9 tie: the
+    # remaining five are skipped, and the tie goes to the smaller vector
+    problem = OptimizationProblem(Atom(1.0, 1.0), "gaussian_product")
+    script = [(np.array([0.0, 0.0, 1.0]), -0.30, 40, True, 1e-10),
+              (np.array([0.2, 0.5, 1.0]), -0.50, 40, True, 1e-10),
+              (np.array([0.1, 0.5, 1.0]), -0.50 + 5e-10, 40, True, 1e-10),
+              (np.array([0.0, 0.5, 1.0]), -0.60, 40, True, 1e-10)]
+
+    def run():
+        runs = iter(script)
+        monkeypatch.setattr(opt, "lbfgs_trust", lambda *a, **k: next(runs))
+        return optimize_pulse(problem)
+
+    first, second = run(), run()
+    assert [s["value"] for s in first.starts] == [0.30, 0.50, 0.50 - 5e-10]
+    assert first.skipped_starts == default_starts(problem)[3:]
+    assert first.params["omega1"] == pytest.approx(np.exp(0.1))
+    assert first.n_evaluations == 120
+    assert first.to_dict() == second.to_dict()
+
+
+@pytest.mark.parametrize("family, atom, params", [
+    ("gaussian_product", Atom(1.0, 1.0), {"omega1": 0.8, "omega2": 1.5, "mu": 0.5}),
+    ("entangled_gaussian", Atom(2.0, 1.0),
+     {"omega_plus": 1.0, "omega_minus": 4.0, "mu": 0.3}),
+    ("rising_exp", Atom(1.0, 1.0), {"omega1": 0.7, "omega2": 1.2}),
+    ("decaying_exp", Atom(1.0, 1.0), {"omega1": 0.9, "omega2": 1.3, "t_shift": 0.8}),
+])
+def test_envelope_gradient_matches_remaximized_difference(family, atom, params):
+    # the fixed-time derivative at t* equals the derivative of the maximum
+    problem = OptimizationProblem(atom, family)
+    x = opt._encode(problem, params)
+    _, neg_grad = opt._envelope_gradient(problem, opt._objective(problem))(x)
+    h = 1e-4
+    reference = []
+    for i in range(x.size):
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        p_up, p_down = (absorption.pf_max_over_t(
+            atom, opt.build_state(problem, opt._decode(problem, v)))[1]
+            for v in (up, down))
+        reference.append((p_up - p_down) / (2.0 * h))
+    assert -neg_grad == pytest.approx(np.array(reference), rel=1e-5)
+
+
+def test_trust_box_confines_every_state(monkeypatch):
+    # one unconfined quasi-Newton step from this start once jumped to
+    # omega2 = 1e-3, a state that needs about 300k panels
+    problem = OptimizationProblem(Atom(100.0, 1.0), "gaussian_product", mu_free=False)
+    boxes, outside = [], []
+    real_minimize, real_build = opt.minimize, opt.build_state
+    fd_step = 1e-5 * (1.0 + 1e-9)  # a difference quotient may step past a face
+
+    def minimize(fun, x0, bounds, **kw):
+        lo, hi = np.array(bounds).T
+        assert np.all(x0 - lo <= 2.0 + 1e-12) and np.all(hi - x0 <= 2.0 + 1e-12)
+        boxes.append((lo, hi))
+        return real_minimize(fun, x0, bounds=bounds, **kw)
+
+    def build_state(prob, params):
+        x = np.log([params["omega1"], params["omega2"]])
+        if not boxes or np.any(x < boxes[-1][0] - fd_step) or np.any(x > boxes[-1][1] + fd_step):
+            outside.append(params)
+        return real_build(prob, params)
+
+    monkeypatch.setattr(opt, "minimize", minimize)
+    monkeypatch.setattr(opt, "build_state", build_state)
+    res = optimize_pulse(problem, starts=[{"omega1": 202.0, "omega2": 203.0}])
+    assert len(boxes) >= 2  # the optimum lies beyond the first box: re-centred
+    assert outside == []
+    assert res.p_max == pytest.approx(0.0323552531949, abs=1e-9)
+    assert res.converged
+
+
+def _nelder_mead_multistart(problem, n_starts=2):
+    evaluate = opt._objective(problem)
+    steps = [0.3 if opt._is_width(n) else s
+             for n, s in zip(opt._param_names(problem), opt._scales(problem))]
+    return max(-nelder_mead(lambda v: evaluate(v)[0], opt._encode(problem, p), steps)[1]
+               for p in default_starts(problem)[:n_starts])
+
+
+@pytest.mark.parametrize("family, atom, mu_free", [
+    ("gaussian_product", Atom(100.0, 1.0), False),
+    ("entangled_gaussian", Atom(5.0, 1.0, 1.0, 0.0), True),
+    ("rising_exp", Atom(1.0, 1.0), True),
+    ("decaying_exp", Atom(3.0, 1.0), False),
+])
+def test_gradient_optimizer_reaches_nelder_mead(family, atom, mu_free):
+    problem = OptimizationProblem(atom, family, mu_free=mu_free)
+    res = optimize_pulse(problem)
+    assert res.p_max >= _nelder_mead_multistart(problem) * (1.0 - 1e-9)
+    assert res.converged and res.stationarity < 1e-6
 
 
 def test_problem_round_trip():
@@ -166,6 +264,11 @@ def test_problem_round_trip():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         OptimizationProblem(Atom(1.0, 1.0), "square_pulse")
+
+
+def test_empty_starts_rejected():
+    with pytest.raises(ValueError):
+        optimize_pulse(OptimizationProblem(Atom(1.0, 1.0), "rising_exp"), starts=[])
 
 
 def test_default_starts_cover_linewidth_scales():
