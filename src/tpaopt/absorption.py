@@ -7,10 +7,11 @@ routes are provided:
 * a reference route evaluating both integrals with adaptive Gauss-Kronrod
   quadrature in a time-shifted form whose exponents are all nonpositive on
   the integration domain (mandatory for large rate*time products);
-* a fast route that evaluates the inner integral analytically per family
-  (complex scaled error functions for the Gaussian families, elementary
-  exponentials otherwise) and accumulates the outer integral over
-  Gauss-Legendre panels with per-step exponential rebalancing.
+* a fast route that takes the inner integral in closed form from the state
+  family (`decayed_inner`; complex scaled error functions for the Gaussian
+  families, elementary exponentials otherwise) and accumulates the outer
+  integral over Gauss-Legendre panels, sized by the family's time scales,
+  with per-step exponential rebalancing.
 
 The fast route is validated against the reference route to 1e-9 in the test
 suite; closed-form expressions for the exponential families follow their own
@@ -22,151 +23,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import erfcx
 
 from .model import Atom
 from .numutil import phi1, refine_max
 from .optimal import pmax_bound
 from .quadrature import integrate, gl_panels, subdivide, _gl_nodes as _gl_nodes_cached
-from .states import (DecayingExpProduct, EntangledGaussian, GaussianProduct,
-                     OptimalState, RisingExpProduct)
+from .states import OptimalState
 
 
 class NotResonantError(ValueError):
     """Operation requires delta1 = delta2 = 0."""
 
 
-# ---------------------------------------------------------------------------
-# inner integral: G(T2) = int_{tau <= T2} e^{i d1 tau - ge (T2-tau)/2} psi(T2, tau)
-# ---------------------------------------------------------------------------
-
-def _gauss_inner_kernel(X, om, ge, d1):
-    """int_{-inf}^{X} exp(i d1 x - ge (X - x)/2) exp(-om^2 x^2 / 4) dx.
-
-    Stable for arbitrarily large ge/om through the scaled complementary
-    error function; branch chosen so every exponent has nonpositive real
-    part.
-    """
-    X = np.asarray(X, dtype=float)
-    z = 0.5 * ge + 1j * d1
-    w = 0.5 * om * X - z / om
-    lead = np.exp(1j * d1 * X - 0.25 * om**2 * X**2)
-    safe = (-w).real >= 0.0
-    out = np.empty(X.shape, dtype=complex)
-    out[safe] = lead[safe] * erfcx(-w[safe])
-    if np.any(~safe):
-        # erfc(-w) = 2 - erfc(w); the doubled term's exponent
-        # -ge*X/2 + z^2/om^2 has nonpositive real part on this branch
-        Xu = X[~safe]
-        out[~safe] = (2.0 * np.exp(-0.5 * ge * Xu + z * z / om**2)
-                      - lead[~safe] * erfcx(w[~safe]))
-    return (math.sqrt(math.pi) / om) * out
-
-
 def decayed_inner(atom: Atom, state, t2):
-    """Analytic inner integral G(t2) for the supported state families."""
-    ge, d1 = atom.gamma_e, atom.delta1
-    t2 = np.asarray(t2, dtype=float)
-
-    if isinstance(state, GaussianProduct):
-        pref = (state.omega1**2 / (2 * np.pi)) ** 0.25
-        return state.profile2(t2) * pref * _gauss_inner_kernel(
-            t2, state.omega1, ge, d1)
-
-    if isinstance(state, EntangledGaussian):
-        op2 = state.omega_plus**2
-        om2 = state.omega_minus**2
-        q = math.sqrt(0.5 * (op2 + om2))
-        kappa = (om2 - op2) / (om2 + op2)
-        tau = t2 - state.mu
-        m = kappa * tau
-        env = math.sqrt(state.omega_plus * state.omega_minus / (2 * np.pi)) * np.exp(
-            -(tau**2) * op2 * om2 / (2.0 * (op2 + om2)))
-        return env * np.exp(1j * d1 * m) * _gauss_inner_kernel(t2 - m, q, ge, d1)
-
-    if isinstance(state, RisingExpProduct):
-        pole = 1j * d1 + 0.5 * (ge + state.omega1)
-        g1 = np.where(
-            t2 <= 0,
-            math.sqrt(state.omega1) * np.exp((1j * d1 + 0.5 * state.omega1) * t2) / pole,
-            math.sqrt(state.omega1) * np.exp(-0.5 * ge * np.maximum(t2, 0.0)) / pole)
-        return state.profile2(t2) * g1
-
-    if isinstance(state, DecayingExpProduct):
-        a = 1j * d1 + 0.5 * (ge - state.omega1)
-        tpos = np.maximum(t2, 0.0)
-        small = np.abs(a * tpos) < 0.5
-        g1 = np.empty(tpos.shape, dtype=complex)
-        g1[small] = (np.exp(-0.5 * ge * tpos[small]) * tpos[small]
-                     * phi1(a * tpos[small]))
-        tb = tpos[~small]
-        g1[~small] = (np.exp((1j * d1 - 0.5 * state.omega1) * tb)
-                      - np.exp(-0.5 * ge * tb)) / a
-        return state.profile2(t2) * math.sqrt(state.omega1) * np.where(t2 >= 0, g1, 0.0)
-
-    if isinstance(state, OptimalState):
-        a = state.atom
-        gf_s, ge_s = a.gamma_f, a.gamma_e
-        # the driving atom's memory rate and the state's own rate both enter
-        dd = 1j * d1 + 0.5 * (ge + ge_s)
-        h = state.t_star - state.t0
-        bound = pmax_bound(a, h) if np.isfinite(h) else 1.0
-        pref = math.sqrt(ge_s * gf_s / bound) / dd
-        term1 = np.exp(0.5 * gf_s * (t2 - state.t_star) + 1j * d1 * t2)
-        if np.isfinite(state.t0):
-            term2 = np.exp(0.5 * gf_s * (t2 - state.t_star)
-                           - 0.5 * (ge + ge_s) * (t2 - state.t0)
-                           + 1j * d1 * state.t0)
-        else:
-            term2 = 0.0
-        inside = (t2 > state.t0) & (t2 < state.t_star)
-        return np.where(inside, pref * (term1 - term2), 0.0)
-
-    raise TypeError(f"no analytic inner integral for {type(state).__name__}")
-
-
-def _t2_scale(state):
-    if isinstance(state, GaussianProduct):
-        return 1.0 / state.omega2
-    if isinstance(state, EntangledGaussian):
-        return math.sqrt(state.sigma_t2)
-    if isinstance(state, RisingExpProduct):
-        return 2.0 / state.omega2
-    if isinstance(state, DecayingExpProduct):
-        return 2.0 / state.omega2
-    if isinstance(state, OptimalState):
-        return 2.0 / state.atom.gamma_f
-    return 1.0
-
-
-def _t1_scale(state):
-    if isinstance(state, (GaussianProduct, RisingExpProduct, DecayingExpProduct)):
-        return 1.0 / state.omega1
-    if isinstance(state, EntangledGaussian):
-        return math.sqrt(state.sigma_t2)
-    if isinstance(state, OptimalState):
-        return 2.0 / min(state.atom.gamma_e, state.atom.gamma_f)
-    return 1.0
-
-
-def _inner_scale(atom, state):
-    """Smallest variation scale of the analytic inner integral along t2."""
-    if isinstance(state, GaussianProduct):
-        return min(1.0 / state.omega1, 1.0 / state.omega2)
-    if isinstance(state, EntangledGaussian):
-        op2 = state.omega_plus**2
-        om2 = state.omega_minus**2
-        q = math.sqrt(0.5 * (op2 + om2))
-        kappa = (om2 - op2) / (om2 + op2)
-        ridge = (2.0 / q) / max(abs(1.0 - kappa), 1e-9)
-        return min(ridge, math.sqrt(state.sigma_t2))
-    if isinstance(state, RisingExpProduct):
-        return 2.0 / max(state.omega1, state.omega2)
-    if isinstance(state, DecayingExpProduct):
-        return 2.0 / max(state.omega1, state.omega2)
-    if isinstance(state, OptimalState):
-        return 2.0 / (atom.gamma_e + state.atom.gamma_e + state.atom.gamma_f)
-    return min(_t1_scale(state), _t2_scale(state))
+    """Analytic inner integral G(t2), from the state family's own
+    ``decayed_inner``: G(T2) = int_{tau <= T2} e^{i d1 tau - ge (T2-tau)/2}
+    psi(T2, tau) for the driving atom."""
+    inner = getattr(state, "decayed_inner", None)
+    if inner is None:
+        raise TypeError(f"no analytic inner integral for {type(state).__name__}")
+    return inner(atom, np.asarray(t2, dtype=float))
 
 
 def scan_bounds(atom: Atom, state, t0=-np.inf, pad=None):
@@ -188,8 +64,8 @@ def _outer_breakpoints(state):
 
 def _outer_edges(atom: Atom, state, lo, hi):
     rate = atom.gamma_e + atom.gamma_f + abs(atom.delta1) + abs(atom.delta2)
-    h_max = min(4.0 / rate, 2.0 * _inner_scale(atom, state),
-                2.0 * _t2_scale(state))
+    h_max = min(4.0 / rate, 2.0 * state.inner_scale(atom),
+                2.0 * state.t2_scale())
     return subdivide(lo, hi, h_max, extra=_outer_breakpoints(state))
 
 
@@ -246,8 +122,9 @@ def pf_at(atom: Atom, state, t, t0=-np.inf, method="auto", rel_tol=1e-9):
     """Excitation probability at time t for interaction starting at t0.
 
     method: "fast" (analytic inner + panel outer), "quadrature" (nested
-    adaptive reference), "compact" (unshifted compact-form quadrature, for
-    identity checks at moderate rate*time), or "auto".
+    adaptive reference), or "auto" (fast whenever t0 lies at or below the
+    state's support, quadrature otherwise); any other value raises
+    ValueError.
     """
     if t <= t0:
         return 0.0
@@ -260,8 +137,6 @@ def pf_at(atom: Atom, state, t, t0=-np.inf, method="auto", rel_tol=1e-9):
         return float(_pf_from_amp(atom, abs(amp)))
     if method == "quadrature":
         return _pf_at_quadrature(atom, state, t, t0, rel_tol)
-    if method == "compact":
-        return _pf_at_compact(atom, state, t, t0, rel_tol)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -298,34 +173,6 @@ def _pf_at_quadrature(atom, state, t, t0, rel_tol):
     o = integrate(outer, lo2, hi2, rel_tol=rel_tol,
                   breakpoints=_outer_breakpoints(state))
     return float(_pf_from_amp(atom, abs(o)))
-
-
-def _pf_at_compact(atom, state, t, t0, rel_tol):
-    """Compact unshifted form: algebraically identical, exponentially less
-    balanced; kept for the two-form identity check."""
-    ge, gf, d1, d2 = atom.gamma_e, atom.gamma_f, atom.delta1, atom.delta2
-    lo2 = max(state.support2()[0], t0)
-    hi2 = min(t, state.support2()[1])
-    if hi2 <= lo2:
-        return 0.0
-    lo1 = max(state.support1()[0], t0)
-
-    def g(t2):
-        hi1 = min(t2, state.support1()[1])
-        if hi1 <= lo1:
-            return 0.0 + 0.0j
-        f = lambda tau: np.exp((1j * d1 + 0.5 * ge) * tau) * state.amplitude(t2, tau)
-        return integrate(f, lo1, hi1, rel_tol=rel_tol * 0.1,
-                         breakpoints=tuple(state.breakpoints1()) + (t2,))
-
-    def outer(t2_arr):
-        t2_arr = np.atleast_1d(t2_arr)
-        vals = np.array([g(x) for x in t2_arr])
-        return np.exp((1j * d2 + 0.5 * (gf - ge)) * t2_arr) * vals
-
-    o = integrate(outer, lo2, hi2, rel_tol=rel_tol,
-                  breakpoints=_outer_breakpoints(state))
-    return float(ge * gf * math.exp(-gf * t) * abs(o) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -443,44 +290,19 @@ def pf_max_over_t(atom: Atom, state, t0=-np.inf, n_scan=200):
 # matched-filter inner product (resonant, t0 -> -inf)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Kernel:
-    """Matched two-photon weight whose overlap with the amplitude gives P_f.
-
-    Magnitude is bounded by sqrt(gamma_e*gamma_f) on its support
-    t0 < t1 < t2 < t.
-    """
-
-    atom: Atom
-    t: float
-    t0: float = -np.inf
-
-    def __call__(self, t2, t1):
-        a = self.atom
-        t2 = np.asarray(t2, dtype=float)
-        t1 = np.asarray(t1, dtype=float)
-        expo = (0.5 * (a.gamma_f - a.gamma_e) * (t2 - self.t)
-                + 0.5 * a.gamma_e * (t1 - self.t))
-        inside = (t1 < t2) & (t2 < self.t) & (t1 > self.t0)
-        mag = math.sqrt(a.gamma_e * a.gamma_f)
-        return np.where(inside, mag * np.exp(np.where(inside, expo, 0.0)), 0.0)
-
-    @property
-    def magnitude_bound(self):
-        return math.sqrt(self.atom.gamma_e * self.atom.gamma_f)
-
-
 def pf_inner_product(atom: Atom, state, t_star, order=32):
     """P_f(t_star) as the squared overlap with the matched weight.
 
-    Valid at resonance with the interaction starting in the infinite past;
+    The weight is the amplitude of the atom's matched state
+    ``OptimalState(atom, t_star)``, bounded by sqrt(gamma_e*gamma_f). Valid
+    at resonance with the interaction starting in the infinite past;
     evaluated with composite fixed-order Gauss-Legendre panels, a route
     independent of the adaptive nested quadrature.
     """
     if not atom.resonant:
         raise NotResonantError("inner-product form requires delta1 = delta2 = 0")
     ge, gf = atom.gamma_e, atom.gamma_f
-    kern = Kernel(atom, t_star)
+    kern = OptimalState(atom, t_star).amplitude  # the matched weight
     depth = 60.0 / min(ge, gf)
     lo2 = max(state.support2()[0], t_star - depth)
     hi2 = min(t_star, state.support2()[1])
@@ -488,9 +310,9 @@ def pf_inner_product(atom: Atom, state, t_star, order=32):
         return 0.0
     lo1 = max(state.support1()[0], t_star - depth)
     hi1_state = state.support1()[1]
-    h2 = min(2.0 / (ge + gf), _t2_scale(state)) / 1.5
+    h2 = min(2.0 / (ge + gf), state.t2_scale()) / 1.5
     edges2 = subdivide(lo2, hi2, h2, extra=_outer_breakpoints(state))
-    h1 = min(2.0 / ge, _t1_scale(state)) / 1.5
+    h1 = min(2.0 / ge, state.t1_scale()) / 1.5
 
     def inner(t2):
         hi1 = min(t2, hi1_state)

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import __version__, absorption, coherent, optimal, sweeps
 from .model import Atom
-from .optimize import (OptimizationProblem, asymptotic_checks, optimize_pulse,
-                       search_box)
-from .states import (EntangledGaussian, GaussianProduct, OptimalState,
-                     schmidt_analytic, state_from_dict)
+from .optimize import FAMILIES as OPTIMIZABLE, OptimizationProblem
+from .optimize import asymptotic_checks, build_state, optimize_pulse, search_box
+from .states import (FAMILIES, MissingParameterError, OptimalState,
+                     UnsupportedFamilyError, from_fields)
 
 _DEFAULTS = {
     "gamma_ratio": 1.0, "delta1": 0.0, "delta2": 0.0,
@@ -101,21 +101,19 @@ def _atom_from(cfg):
                 cfg.get("delta2", 0.0))
 
 
-def _norm_family(name):
-    return name.replace("-", "_")
+def _family(cfg, table):
+    """The configured family's tag; UnsupportedFamilyError unless ``table``
+    holds it."""
+    fam = cfg["family"].replace("-", "_")
+    if fam not in table:
+        raise UnsupportedFamilyError(
+            f"family {fam!r} is not one of {', '.join(table)}")
+    return fam
 
 
 def _state_from_cfg(cfg, atom):
-    fam = _norm_family(cfg["family"])
-    if fam == "gaussian_product":
-        return GaussianProduct(cfg["omega1"], cfg["omega2"], cfg.get("mu", 0.0))
-    if fam == "entangled_gaussian":
-        return EntangledGaussian(cfg["omega_plus"], cfg["omega_minus"],
-                                 cfg.get("mu", 0.0))
-    if fam == "optimal":
-        return OptimalState(atom, cfg.get("t_star", 0.0),
-                            cfg.get("t0", None) if cfg.get("t0") is not None else -np.inf)
-    return state_from_dict({**cfg, "family": fam})
+    # the matched state's atom is the configured one
+    return from_fields(FAMILIES[_family(cfg, FAMILIES)], {**cfg, "atom": atom})
 
 
 def _write_table(path, headers, columns, rows):
@@ -143,7 +141,7 @@ def cmd_curve(args):
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    p1, p2 = _squared_profiles(state)
+    p1, p2 = state.marginal_densities()
     for t, p in zip(curve.times, curve.probabilities):
         rows.append((float(t), float(p), float(p1(t)), float(p2(t))))
     _write_table(out / "curve.csv", _headers(cfg) + [
@@ -153,26 +151,12 @@ def cmd_curve(args):
     return 0
 
 
-def _squared_profiles(state):
-    if hasattr(state, "profile1"):
-        return (lambda t: np.abs(state.profile1(t)) ** 2,
-                lambda t: np.abs(state.profile2(t)) ** 2)
-    if isinstance(state, EntangledGaussian):
-        s2 = state.sigma_t2
-        return (lambda t: np.exp(-t**2 / (2 * s2)) / np.sqrt(2 * np.pi * s2),
-                lambda t: np.exp(-(t - state.mu) ** 2 / (2 * s2)) / np.sqrt(2 * np.pi * s2))
-    if isinstance(state, OptimalState):
-        _, p1, p2 = optimal.arrival_densities(state.atom, state.t_star)
-        return p1, p2
-    return (lambda t: np.zeros_like(np.asarray(t, dtype=float)),) * 2
-
-
 def cmd_optimize(args):
     keys = ("gamma_ratio", "delta1", "delta2", "family", "mu_free",
             "n_starts", "n1", "n2", "seed", "out", "tol")
     cfg = _effective(args, keys)
     atom = _atom_from(cfg)
-    fam = _norm_family(cfg["family"])
+    fam = _family(cfg, OPTIMIZABLE)
     problem = OptimizationProblem(atom, fam, mu_free=cfg["mu_free"],
                                   n1=cfg["n1"], n2=cfg["n2"],
                                   n_starts=cfg["n_starts"], seed=cfg["seed"])
@@ -266,7 +250,7 @@ def cmd_sweep(args):
     if cfg.get("preset"):
         spec = json.loads(_preset_path(cfg["preset"]).read_text())
         return _run_preset(spec, cfg, out)
-    fam = _norm_family(cfg["family"])
+    fam = _family(cfg, OPTIMIZABLE)
     ratios = cfg.get("ratios") or [0.01, 0.1, 1.0, 10.0, 100.0]
     if isinstance(ratios, str):
         ratios = [float(x) for x in ratios.split(",")]
@@ -370,24 +354,18 @@ def _exponential_rows(job, cfg):
 
 def _optimized_curve(job, cfg, heads, path):
     atom = Atom(job["gamma_ratio"], 1.0)
-    fam = job["family"]
-    if fam == "coherent":
-        res = optimize_pulse(OptimizationProblem(
-            atom, fam, mu_free=job.get("mu_free", True), seed=cfg["seed"]))
-        drive = coherent.CoherentDrive(1.0, 1.0, res.params["omega1"],
-                                       res.params["omega2"],
-                                       res.params.get("mu", 0.0))
-        traj = coherent.evolve(atom, drive)
-        rows = [(float(t), float(p), float(drive.envelope1(t) ** 2),
-                 float(drive.envelope2(t) ** 2))
+    problem = OptimizationProblem(atom, job["family"], mu_free=job.get("mu_free", True),
+                                  seed=cfg["seed"])
+    res = optimize_pulse(problem)
+    pulse = build_state(problem, res.params)
+    if problem.family == "coherent":
+        traj = coherent.evolve(atom, pulse)
+        rows = [(float(t), float(p), float(pulse.envelope1(t) ** 2),
+                 float(pulse.envelope2(t) ** 2))
                 for t, p in zip(traj.times, traj.rho_ff)]
     else:
-        res = optimize_pulse(OptimizationProblem(
-            atom, fam, mu_free=job.get("mu_free", True), seed=cfg["seed"]))
-        from .optimize import build_state
-        state = build_state(OptimizationProblem(atom, fam), res.params)
-        curve = absorption.excitation_curve(atom, state)
-        p1, p2 = _squared_profiles(state)
+        curve = absorption.excitation_curve(atom, pulse)
+        p1, p2 = pulse.marginal_densities()
         rows = [(float(t), float(p), float(p1(t)), float(p2(t)))
                 for t, p in zip(curve.times, curve.probabilities)]
     _write_table(path, heads + [f"params: {json.dumps(res.params, default=float)}",
@@ -399,10 +377,8 @@ def _biphoton_density(job, cfg, heads, out):
     atom = Atom(job["gamma_ratio"], 1.0)
     fam = job["family"]
     if fam == "entangled_gaussian":
-        res = optimize_pulse(OptimizationProblem(
-            atom, fam, mu_free=True, seed=cfg["seed"]))
-        st = EntangledGaussian(res.params["omega_plus"], res.params["omega_minus"],
-                               res.params.get("mu", 0.0))
+        problem = OptimizationProblem(atom, fam, mu_free=True, seed=cfg["seed"])
+        st = build_state(problem, optimize_pulse(problem).params)
         w = 3.0 * np.sqrt(st.sigma_t2)
         t = np.linspace(-w + st.mu / 2, w + st.mu, job.get("n", 81))
         dens_t = np.abs(st.amplitude(t[:, None], t[None, :])) ** 2
@@ -413,7 +389,6 @@ def _biphoton_density(job, cfg, heads, out):
         dens_w = (2.0 / (np.pi * op * om)) * np.exp(
             -((o1 + o2) / op) ** 2 - ((o2 - o1) / om) ** 2)
     else:
-        st = OptimalState(atom, 0.0)
         ge, gf = atom.gamma_e, atom.gamma_f
         w = 8.0 / min(ge, gf)
         t = np.linspace(-w, 0.0, job.get("n", 81))
@@ -424,7 +399,6 @@ def _biphoton_density(job, cfg, heads, out):
         o2, o1 = np.meshgrid(om_grid, om_grid, indexing="ij")
         dens_w = (ge * gf / (4 * np.pi**2)) / (
             (o1**2 + ge**2 / 4) * ((o1 + o2) ** 2 + gf**2 / 4))
-        om_grid_t = t
     for tag, grid_ax, dens in (("time", t, dens_t), ("freq", om_grid, dens_w)):
         path = out / job["output"].replace(".csv", f"_{tag}.csv")
         lines = [f"# {h}" for h in heads]
@@ -500,7 +474,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UnsupportedFamilyError, MissingParameterError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

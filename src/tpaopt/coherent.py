@@ -29,6 +29,7 @@ class IntegrationError(RuntimeError):
 class CoherentDrive:
     """Two coherent Gaussian pulses; pulse 2 peaks a delay mu after pulse 1."""
 
+    family = "coherent"
     n1: float
     n2: float
     omega1: float

@@ -24,15 +24,19 @@ from scipy.optimize import minimize
 from . import absorption, coherent
 from .model import Atom
 from .states import (DecayingExpProduct, EntangledGaussian, GaussianProduct,
-                     RisingExpProduct)
+                     RisingExpProduct, delay_field, from_fields, schmidt_analytic,
+                     width_names)
 
 WIDTH_BOUNDS = (1e-3, 1e3)   # in gamma_f units
 DELAY_BOUNDS = (-50.0, 50.0)  # in units of the slowest lifetime
 TIE = 1e-9                    # starts this close to the best value agree
 AGREEING_STARTS = 2           # the multistart stops once this many agree
 
-_FAMILIES = ("gaussian_product", "entangled_gaussian", "rising_exp",
-             "decaying_exp", "coherent")
+# the optimizable families: parameters are their widths and, unless frozen
+# at its default, their delay; a coherent drive's n1 and n2 come from the problem
+FAMILIES = {cls.family: cls for cls in (GaussianProduct, EntangledGaussian,
+                                        RisingExpProduct, DecayingExpProduct,
+                                        coherent.CoherentDrive)}
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,9 @@ class OptimizationProblem:
     coherent_rtol: float = 1e-7
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; "
+                             f"choose from {', '.join(FAMILIES)}")
 
     def to_dict(self):
         d = asdict(self)
@@ -175,18 +180,10 @@ def lbfgs_trust(fg, x0, lo, hi, radius, max_evals):
 
 
 def _param_names(problem):
-    fam, free = problem.family, problem.mu_free
-    if fam == "gaussian_product":
-        return ("omega1", "omega2") + (("mu",) if free else ())
-    if fam == "entangled_gaussian":
-        return ("omega_plus", "omega_minus") + (("mu",) if free else ())
-    if fam == "rising_exp":
-        return ("omega1", "omega2")
-    if fam == "decaying_exp":
-        return ("omega1", "omega2") + (("t_shift",) if free else ())
-    if fam == "coherent":
-        return ("omega1", "omega2") + (("mu",) if free else ())
-    raise ValueError(fam)
+    """Widths, then the delay if the problem frees it, as the class names them."""
+    cls = FAMILIES[problem.family]
+    delay = delay_field(cls)
+    return width_names(cls) + ((delay[0],) if problem.mu_free and delay else ())
 
 
 def _is_width(name):
@@ -202,30 +199,16 @@ def _decode(problem, x):
     out = {}
     for name, v in zip(_param_names(problem), x):
         out[name] = math.exp(v) if _is_width(name) else v
-    if problem.family in ("gaussian_product", "entangled_gaussian", "coherent"):
-        out.setdefault("mu", 0.0)
-    if problem.family == "decaying_exp":
-        out.setdefault("t_shift", 0.0)
+    delay = delay_field(FAMILIES[problem.family])
+    if delay:
+        out.setdefault(*delay)  # a frozen delay sits at its default
     return out
 
 
 def build_state(problem, params):
-    fam = problem.family
-    if fam == "gaussian_product":
-        return GaussianProduct(params["omega1"], params["omega2"], params.get("mu", 0.0))
-    if fam == "entangled_gaussian":
-        return EntangledGaussian(params["omega_plus"], params["omega_minus"],
-                                 params.get("mu", 0.0))
-    if fam == "rising_exp":
-        return RisingExpProduct(params["omega1"], params["omega2"])
-    if fam == "decaying_exp":
-        return DecayingExpProduct(params["omega1"], params["omega2"],
-                                  params.get("t_shift", 0.0))
-    if fam == "coherent":
-        return coherent.CoherentDrive(problem.n1, problem.n2,
-                                      params["omega1"], params["omega2"],
-                                      params.get("mu", 0.0))
-    raise ValueError(fam)
+    """The family's state (or drive) from named parameters."""
+    return from_fields(FAMILIES[problem.family],
+                       {"n1": problem.n1, "n2": problem.n2, **params})
 
 
 def max_over_time(problem, obj):
@@ -323,23 +306,17 @@ def default_starts(problem):
         widths = [(w, min(w + gf, WIDTH_BOUNDS[1] * gf)) for w in scales]
     if fam == "coherent":
         widths = [(2.4 * ge, 2.4 * gf)] + widths[:3]
-    delays = [1.0 / ge, 0.0, 2.0 / ge, 0.5 / ge]
+    if fam == "decaying_exp":
+        delays = [0.0, 1.0 / ge, 1.0 / gf, 2.0 / ge]
+    else:
+        delays = [1.0 / ge, 0.0, 2.0 / ge, 0.5 / ge]
+    clip = lambda w: float(np.clip(w, WIDTH_BOUNDS[0] * gf, WIDTH_BOUNDS[1] * gf))
+    names = _param_names(problem)  # without a free delay, zip drops it
     starts = []
     for i in range(problem.n_starts):
         w1, w2 = widths[i % len(widths)]
-        p = {"omega1": w1, "omega2": w2}
-        if fam == "entangled_gaussian":
-            p = {"omega_plus": w1, "omega_minus": w2}
-        if problem.mu_free and fam != "rising_exp":
-            key = "t_shift" if fam == "decaying_exp" else "mu"
-            p[key] = delays[(i // len(widths)) % len(delays)] if fam != "decaying_exp" \
-                else [0.0, 1.0 / ge, 1.0 / gf, 2.0 / ge][(i // len(widths)) % 4]
-        starts.append(p)
-    clip = lambda w: float(np.clip(w, WIDTH_BOUNDS[0] * gf, WIDTH_BOUNDS[1] * gf))
-    for p in starts:
-        for k in list(p):
-            if _is_width(k):
-                p[k] = clip(p[k])
+        delay = delays[(i // len(widths)) % len(delays)]
+        starts.append(dict(zip(names, (clip(w1), clip(w2), delay))))
     return starts
 
 
@@ -430,8 +407,7 @@ def asymptotic_checks(family, ratio_list, mu_free=True, n_starts=8, seed=0,
             if "t_shift" in p:
                 row["t_shift"] = p["t_shift"]
         elif family == "entangled_gaussian":
-            from .states import schmidt_analytic
-            st = EntangledGaussian(p["omega_plus"], p["omega_minus"], p.get("mu", 0.0))
+            st = build_state(problem, p)
             row.update({"omega_plus": p["omega_plus"],
                         "omega_minus": p["omega_minus"],
                         "omega_plus_over_gf": p["omega_plus"] / gf,

@@ -1,23 +1,32 @@
-"""Two-photon state families: joint temporal amplitudes and entanglement.
+"""Two-photon state families: the family table, amplitudes and entanglement.
 
-Every family evaluates its joint temporal amplitude ``amplitude(t2, t1)``
-(zero outside support), reports an effective truncated support per axis, and
-serializes to a plain dict. Entanglement is quantified through the Schmidt
-coefficients, either from the closed form (entangled Gaussian) or by singular
-value decomposition of the discretized amplitude.
+Each family is one frozen dataclass and the only home of what the package
+knows about it: its tag ``family``, its joint temporal amplitude
+``amplitude(t2, t1)`` (zero outside support), an effective truncated
+support per axis, the analytic inner integral ``decayed_inner`` of the fast
+absorption route with the time scales that size its panels, the per-photon
+marginal densities, and its dict form. ``FAMILIES`` maps each tag to its
+class. A family is built from its fields by name (`from_fields`); the
+spectral widths are the fields named ``omega*``, and the delay, where a
+family has one, is the other field with a default (`delay_field`).
+Entanglement is quantified through the Schmidt coefficients, either from
+the closed form (entangled Gaussian) or by singular value decomposition of
+the discretized amplitude.
 
 Time-axis convention: argument order is (t2, t1) everywhere, with photon 1
 driving the lower transition and photon 2 the upper one.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy import linalg
+from scipy.special import erfcx
 
 from . import optimal as _optimal
 from .model import Atom, TimeWindow
+from .numutil import phi1
 from .quadrature import integrate
 
 # Effective-support truncation: amplitude envelopes are cut where they fall
@@ -36,6 +45,10 @@ class UnsupportedFamilyError(TypeError):
     """Operation not defined for this state family."""
 
 
+class MissingParameterError(ValueError):
+    """A family's field without a default was not given."""
+
+
 class GridTooCoarseError(RuntimeError):
     """Doubling the SVD grid still changes the entropy beyond tolerance."""
 
@@ -47,17 +60,101 @@ def _gauss_tail(d, sigma):
     return math.erfc(d / (sigma * math.sqrt(2.0)))
 
 
+def width_names(cls):
+    """The spectral-width fields of a family (named ``omega*``), in order."""
+    return tuple(f.name for f in fields(cls) if f.name.startswith("omega"))
+
+
+def delay_field(cls):
+    """(name, default) of a family's delay, the field besides its widths
+    that has a default; None for a family without one."""
+    for f in fields(cls):
+        if f.default is not MISSING and not f.name.startswith("omega"):
+            return f.name, f.default
+    return None
+
+
+def from_fields(cls, values):
+    """Family ``cls`` built from a mapping that holds its fields by name.
+
+    Other keys are ignored and absent fields take their defaults; an absent
+    field without a default raises MissingParameterError.
+    """
+    missing = [f.name for f in fields(cls)
+               if f.name not in values and f.default is MISSING]
+    if missing:
+        raise MissingParameterError(f"family {cls.family} needs {', '.join(missing)}")
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+
+
+# ---------------------------------------------------------------------------
+# inner integral: G(T2) = int_{tau <= T2} e^{i d1 tau - ge (T2-tau)/2} psi(T2, tau)
+# Each family's ``decayed_inner(atom, t2)`` evaluates it in closed form for
+# the driving atom, with t2 a float array.
+# ---------------------------------------------------------------------------
+
+def _gauss_inner_kernel(X, om, ge, d1):
+    """int_{-inf}^{X} exp(i d1 x - ge (X - x)/2) exp(-om^2 x^2 / 4) dx.
+
+    Stable for arbitrarily large ge/om through the scaled complementary
+    error function; branch chosen so every exponent has nonpositive real
+    part.
+    """
+    X = np.asarray(X, dtype=float)
+    z = 0.5 * ge + 1j * d1
+    w = 0.5 * om * X - z / om
+    lead = np.exp(1j * d1 * X - 0.25 * om**2 * X**2)
+    safe = (-w).real >= 0.0
+    out = np.empty(X.shape, dtype=complex)
+    out[safe] = lead[safe] * erfcx(-w[safe])
+    if np.any(~safe):
+        # erfc(-w) = 2 - erfc(w); the doubled term's exponent
+        # -ge*X/2 + z^2/om^2 has nonpositive real part on this branch
+        Xu = X[~safe]
+        out[~safe] = (2.0 * np.exp(-0.5 * ge * Xu + z * z / om**2)
+                      - lead[~safe] * erfcx(w[~safe]))
+    return (math.sqrt(math.pi) / om) * out
+
+
+class _Parametric:
+    """Validation, construction and dict form of a family from its fields."""
+
+    def __post_init__(self):
+        if not all(getattr(self, n) > 0 for n in width_names(type(self))):
+            raise ValueError("spectral widths must be positive")
+
+    @classmethod
+    def from_dict(cls, d):
+        return from_fields(cls, d)
+
+    def to_dict(self):
+        return {"family": self.family,
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+
+class _Product(_Parametric):
+    """Unentangled pair: the amplitude is profile2(t2) * profile1(t1)."""
+
+    def amplitude(self, t2, t1):
+        return self.profile2(t2) * self.profile1(t1)
+
+    def t1_scale(self):
+        return 1.0 / self.omega1
+
+    def marginal_densities(self):
+        """Arrival-time densities of photon 1 and photon 2."""
+        return (lambda t: np.abs(self.profile1(t)) ** 2,
+                lambda t: np.abs(self.profile2(t)) ** 2)
+
+
 @dataclass(frozen=True)
-class GaussianProduct:
+class GaussianProduct(_Product):
     """Unentangled Gaussian photons; photon 2 peaks a delay mu after photon 1."""
 
+    family = "gaussian_product"
     omega1: float
     omega2: float
     mu: float = 0.0
-
-    def __post_init__(self):
-        if not (self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError("spectral widths must be positive")
 
     def profile1(self, t):
         t = np.asarray(t, dtype=float)
@@ -68,9 +165,6 @@ class GaussianProduct:
         t = np.asarray(t, dtype=float)
         return (self.omega2**2 / (2 * np.pi)) ** 0.25 * np.exp(
             -self.omega2**2 * (t - self.mu) ** 2 / 4.0)
-
-    def amplitude(self, t2, t1):
-        return self.profile2(t2) * self.profile1(t1)
 
     def support1(self):
         w = _GAUSS_CUT / self.omega1
@@ -92,13 +186,21 @@ class GaussianProduct:
         d2 = min(self.mu - window.t_start, window.t_end - self.mu)
         return _gauss_tail(d1, s1) + _gauss_tail(d2, s2)
 
-    def to_dict(self):
-        return {"family": "gaussian_product", "omega1": self.omega1,
-                "omega2": self.omega2, "mu": self.mu}
+    def decayed_inner(self, atom, t2):
+        pref = (self.omega1**2 / (2 * np.pi)) ** 0.25
+        return self.profile2(t2) * pref * _gauss_inner_kernel(
+            t2, self.omega1, atom.gamma_e, atom.delta1)
+
+    def t2_scale(self):
+        return 1.0 / self.omega2
+
+    def inner_scale(self, atom):
+        """Smallest variation scale of the inner integral along t2."""
+        return min(1.0 / self.omega1, 1.0 / self.omega2)
 
 
 @dataclass(frozen=True)
-class EntangledGaussian:
+class EntangledGaussian(_Parametric):
     """Gaussian amplitude in the sum/difference time coordinates.
 
     omega_plus is the spectral width of the frequency-sum distribution,
@@ -106,13 +208,10 @@ class EntangledGaussian:
     exactly when the two coincide.
     """
 
+    family = "entangled_gaussian"
     omega_plus: float
     omega_minus: float
     mu: float = 0.0
-
-    def __post_init__(self):
-        if not (self.omega_plus > 0 and self.omega_minus > 0):
-            raise ValueError("spectral widths must be positive")
 
     @property
     def sigma_t2(self):
@@ -154,21 +253,46 @@ class EntangledGaussian:
         d2 = min(self.mu - window.t_start, window.t_end - self.mu)
         return _gauss_tail(d1, s) + _gauss_tail(d2, s)
 
-    def to_dict(self):
-        return {"family": "entangled_gaussian", "omega_plus": self.omega_plus,
-                "omega_minus": self.omega_minus, "mu": self.mu}
+    def _ridge(self):
+        """Width q of the inner Gaussian and slope kappa of its ridge."""
+        op2 = self.omega_plus**2
+        om2 = self.omega_minus**2
+        return math.sqrt(0.5 * (op2 + om2)), (om2 - op2) / (om2 + op2)
+
+    def decayed_inner(self, atom, t2):
+        ge, d1 = atom.gamma_e, atom.delta1
+        op2 = self.omega_plus**2
+        om2 = self.omega_minus**2
+        q, kappa = self._ridge()
+        tau = t2 - self.mu
+        m = kappa * tau
+        env = math.sqrt(self.omega_plus * self.omega_minus / (2 * np.pi)) * np.exp(
+            -(tau**2) * op2 * om2 / (2.0 * (op2 + om2)))
+        return env * np.exp(1j * d1 * m) * _gauss_inner_kernel(t2 - m, q, ge, d1)
+
+    def t1_scale(self):
+        return math.sqrt(self.sigma_t2)
+
+    t2_scale = t1_scale
+
+    def inner_scale(self, atom):
+        q, kappa = self._ridge()
+        ridge = (2.0 / q) / max(abs(1.0 - kappa), 1e-9)
+        return min(ridge, math.sqrt(self.sigma_t2))
+
+    def marginal_densities(self):
+        s2 = self.sigma_t2
+        return (lambda t: np.exp(-t**2 / (2 * s2)) / np.sqrt(2 * np.pi * s2),
+                lambda t: np.exp(-(t - self.mu) ** 2 / (2 * s2)) / np.sqrt(2 * np.pi * s2))
 
 
 @dataclass(frozen=True)
-class RisingExpProduct:
+class RisingExpProduct(_Product):
     """Unentangled photons with rising exponential profiles ending at t = 0."""
 
+    family = "rising_exp"
     omega1: float
     omega2: float
-
-    def __post_init__(self):
-        if not (self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError("spectral widths must be positive")
 
     def profile1(self, t):
         t = np.asarray(t, dtype=float)
@@ -177,9 +301,6 @@ class RisingExpProduct:
     def profile2(self, t):
         t = np.asarray(t, dtype=float)
         return np.where(t <= 0, np.sqrt(self.omega2) * np.exp(self.omega2 * t / 2.0), 0.0)
-
-    def amplitude(self, t2, t1):
-        return self.profile2(t2) * self.profile1(t1)
 
     def support1(self):
         return (-_EXP_CUT / self.omega1, 0.0)
@@ -204,22 +325,30 @@ class RisingExpProduct:
             m2 += 1.0 - math.exp(self.omega2 * window.t_end)
         return m1 + m2
 
-    def to_dict(self):
-        return {"family": "rising_exp", "omega1": self.omega1,
-                "omega2": self.omega2}
+    def decayed_inner(self, atom, t2):
+        ge, d1 = atom.gamma_e, atom.delta1
+        pole = 1j * d1 + 0.5 * (ge + self.omega1)
+        g1 = np.where(
+            t2 <= 0,
+            math.sqrt(self.omega1) * np.exp((1j * d1 + 0.5 * self.omega1) * t2) / pole,
+            math.sqrt(self.omega1) * np.exp(-0.5 * ge * np.maximum(t2, 0.0)) / pole)
+        return self.profile2(t2) * g1
+
+    def t2_scale(self):
+        return 2.0 / self.omega2
+
+    def inner_scale(self, atom):
+        return 2.0 / max(self.omega1, self.omega2)
 
 
 @dataclass(frozen=True)
-class DecayingExpProduct:
+class DecayingExpProduct(_Product):
     """Unentangled decaying exponentials; pulse 2 starts at t_shift."""
 
+    family = "decaying_exp"
     omega1: float
     omega2: float
     t_shift: float = 0.0
-
-    def __post_init__(self):
-        if not (self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError("spectral widths must be positive")
 
     def profile1(self, t):
         t = np.asarray(t, dtype=float)
@@ -230,9 +359,6 @@ class DecayingExpProduct:
         return np.where(t >= self.t_shift,
                         np.sqrt(self.omega2) * np.exp(-self.omega2 * (t - self.t_shift) / 2.0),
                         0.0)
-
-    def amplitude(self, t2, t1):
-        return self.profile2(t2) * self.profile1(t1)
 
     def support1(self):
         return (0.0, _EXP_CUT / self.omega1)
@@ -255,9 +381,24 @@ class DecayingExpProduct:
             m2 += 1.0 - math.exp(-self.omega2 * (window.t_start - self.t_shift))
         return m1 + m2
 
-    def to_dict(self):
-        return {"family": "decaying_exp", "omega1": self.omega1,
-                "omega2": self.omega2, "t_shift": self.t_shift}
+    def decayed_inner(self, atom, t2):
+        ge, d1 = atom.gamma_e, atom.delta1
+        a = 1j * d1 + 0.5 * (ge - self.omega1)
+        tpos = np.maximum(t2, 0.0)
+        small = np.abs(a * tpos) < 0.5
+        g1 = np.empty(tpos.shape, dtype=complex)
+        g1[small] = (np.exp(-0.5 * ge * tpos[small]) * tpos[small]
+                     * phi1(a * tpos[small]))
+        tb = tpos[~small]
+        g1[~small] = (np.exp((1j * d1 - 0.5 * self.omega1) * tb)
+                      - np.exp(-0.5 * ge * tb)) / a
+        return self.profile2(t2) * math.sqrt(self.omega1) * np.where(t2 >= 0, g1, 0.0)
+
+    def t2_scale(self):
+        return 2.0 / self.omega2
+
+    def inner_scale(self, atom):
+        return 2.0 / max(self.omega1, self.omega2)
 
 
 @dataclass(frozen=True)
@@ -268,6 +409,7 @@ class OptimalState:
     state that saturates the probability at exactly 1.
     """
 
+    family = "optimal"
     atom: Atom
     t_star: float = 0.0
     t0: float = -np.inf
@@ -324,30 +466,59 @@ class OptimalState:
         p2_tail = math.exp(-a.gamma_f * d) if d > 0 else 1.0
         return p1_tail + p2_tail
 
+    def decayed_inner(self, atom, t2):
+        ge, d1 = atom.gamma_e, atom.delta1
+        gf_s, ge_s = self.atom.gamma_f, self.atom.gamma_e
+        # the driving atom's memory rate and the state's own rate both enter
+        dd = 1j * d1 + 0.5 * (ge + ge_s)
+        pref = self._prefactor / dd
+        term1 = np.exp(0.5 * gf_s * (t2 - self.t_star) + 1j * d1 * t2)
+        if np.isfinite(self.t0):
+            term2 = np.exp(0.5 * gf_s * (t2 - self.t_star)
+                           - 0.5 * (ge + ge_s) * (t2 - self.t0)
+                           + 1j * d1 * self.t0)
+        else:
+            term2 = 0.0
+        inside = (t2 > self.t0) & (t2 < self.t_star)
+        return np.where(inside, pref * (term1 - term2), 0.0)
+
+    def t1_scale(self):
+        return 2.0 / min(self.atom.gamma_e, self.atom.gamma_f)
+
+    def t2_scale(self):
+        return 2.0 / self.atom.gamma_f
+
+    def inner_scale(self, atom):
+        return 2.0 / (atom.gamma_e + self.atom.gamma_e + self.atom.gamma_f)
+
+    def marginal_densities(self):
+        _, p1, p2 = _optimal.arrival_densities(self.atom, self.t_star)
+        return p1, p2
+
     def to_dict(self):
-        return {"family": "optimal", "gamma_e": self.atom.gamma_e,
+        return {"family": self.family, "gamma_e": self.atom.gamma_e,
                 "gamma_f": self.atom.gamma_f, "t_star": self.t_star,
                 "t0": None if not np.isfinite(self.t0) else self.t0}
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls(Atom(d["gamma_e"], d["gamma_f"]), d.get("t_star", 0.0),
+                   -np.inf if d.get("t0") is None else d["t0"])
 
-_FAMILIES = {
-    "gaussian_product": lambda d: GaussianProduct(d["omega1"], d["omega2"], d.get("mu", 0.0)),
-    "entangled_gaussian": lambda d: EntangledGaussian(d["omega_plus"], d["omega_minus"], d.get("mu", 0.0)),
-    "rising_exp": lambda d: RisingExpProduct(d["omega1"], d["omega2"]),
-    "decaying_exp": lambda d: DecayingExpProduct(d["omega1"], d["omega2"], d.get("t_shift", 0.0)),
-    "optimal": lambda d: OptimalState(
-        Atom(d["gamma_e"], d["gamma_f"]), d.get("t_star", 0.0),
-        -np.inf if d.get("t0") is None else d["t0"]),
-}
+
+FAMILIES = {cls.family: cls for cls in (GaussianProduct, EntangledGaussian,
+                                        RisingExpProduct, DecayingExpProduct,
+                                        OptimalState)}
 
 
 def state_from_dict(d):
     """Inverse of each family's to_dict; raises on unknown family tags."""
     try:
-        build = _FAMILIES[d["family"]]
+        cls = FAMILIES[d.get("family")]
     except KeyError as exc:
-        raise UnsupportedFamilyError(f"unknown family {d.get('family')!r}") from exc
-    return build(d)
+        raise UnsupportedFamilyError(
+            f"unknown family {d.get('family')!r}; choose from {', '.join(FAMILIES)}") from exc
+    return cls.from_dict(d)
 
 
 def norm_check(state, window: TimeWindow | None = None, rel_tol=1e-10):

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Atom
-from .optimize import (OptimizationProblem, build_state, default_starts,
-                       max_over_time, nelder_mead, optimize_pulse)
-from .states import EntangledGaussian, GaussianProduct, schmidt_analytic
+from .optimize import (OptimizationProblem, _param_names, build_state,
+                       default_starts, max_over_time, nelder_mead, optimize_pulse)
+from .states import schmidt_analytic
 
 
 def _jsonable(x):
@@ -76,9 +76,7 @@ def _ratio_cell(args):
             "params": res.params, "t_at_max": res.t_at_max,
             "converged": res.converged}
     if family == "entangled_gaussian":
-        st = EntangledGaussian(res.params["omega_plus"], res.params["omega_minus"],
-                               res.params.get("mu", 0.0))
-        cell["entropy_bits"] = schmidt_analytic(st).entropy_bits
+        cell["entropy_bits"] = schmidt_analytic(build_state(problem, res.params)).entropy_bits
     return cell
 
 
@@ -105,37 +103,26 @@ def ratio_sweep(family, ratios, delay_policies=("mu_free", "mu_zero"),
 def _sensitivity_cell(args):
     family, ratio, w1, w2, policy, mu_frozen, seed = args
     atom = Atom(ratio, 1.0)
-    if policy == "frozen":
-        params = {"mu": mu_frozen}
-        problem = OptimizationProblem(atom, family)
-        state = build_state(problem, _cell_params(family, w1, w2, params))
-        pm = max_over_time(problem, state)[1]
-        return {"p_max": pm, "mu": mu_frozen, "converged": True}
-    # re-optimize the delay at fixed widths (1-D simplex)
     problem = OptimizationProblem(atom, family, mu_free=True, seed=seed)
+    names = _param_names(problem)  # the two widths, then the delay
+
+    def p_max(mu):
+        state = build_state(problem, dict(zip(names, (w1, w2, mu))))
+        return max_over_time(problem, state)[1]
+
+    if policy == "frozen":
+        return {"p_max": p_max(mu_frozen), "mu": mu_frozen, "converged": True}
+    # re-optimize the delay at fixed widths (1-D simplex)
     best = (-np.inf, 0.0)
     converged = False
     for mu0 in (mu_frozen, 1.0 / atom.gamma_e, 0.0):
-        def negp(xv):
-            p = _cell_params(family, w1, w2, {"mu": float(xv[0])})
-            state = build_state(problem, p)
-            return -max_over_time(problem, state)[1]
         x, fx, nev, conv, _ = nelder_mead(
-            negp, np.array([mu0]), np.array([max(0.5 / atom.gamma_e, 0.05)]),
-            max_evals=220)
+            lambda xv: -p_max(float(xv[0])), np.array([mu0]),
+            np.array([max(0.5 / atom.gamma_e, 0.05)]), max_evals=220)
         if -fx > best[0]:
             best = (-fx, float(x[0]))
             converged = conv
     return {"p_max": best[0], "mu": best[1], "converged": converged}
-
-
-def _cell_params(family, w1, w2, extra):
-    if family == "entangled_gaussian":
-        p = {"omega_plus": w1, "omega_minus": w2}
-    else:
-        p = {"omega1": w1, "omega2": w2}
-    p.update(extra)
-    return p
 
 
 def sensitivity_map(atom: Atom, family, axis1, axis2, delay_policy="reoptimize",
@@ -146,14 +133,14 @@ def sensitivity_map(atom: Atom, family, axis1, axis2, delay_policy="reoptimize",
     default policy re-optimizes it in every cell.
     """
     ratio = atom.gamma_e / atom.gamma_f
-    base = optimize_pulse(OptimizationProblem(atom, family, mu_free=True, seed=seed))
-    mu_opt = base.params.get("mu", 0.0)
+    problem = OptimizationProblem(atom, family, mu_free=True, seed=seed)
+    base = optimize_pulse(problem)
+    n1, n2, *delay = _param_names(problem)
+    mu_opt = base.params[delay[0]] if delay else 0.0
     tasks = [(family, ratio, w1, w2, delay_policy, mu_opt, seed)
              for w1 in axis1 for w2 in axis2]
     cells = _run(tasks, _sensitivity_cell, jobs)
     values = np.array([c["p_max"] for c in cells]).reshape(len(axis1), len(axis2))
-    n1 = "omega_plus" if family == "entangled_gaussian" else "omega1"
-    n2 = "omega_minus" if family == "entangled_gaussian" else "omega2"
     return GridResult(
         axes=((n1, np.asarray(axis1, dtype=float)),
               (n2, np.asarray(axis2, dtype=float))),
@@ -188,12 +175,12 @@ def detuning_map(family, gamma_ratio, delta1_values, delta2_values,
     heuristic seeds), keeping cells independent so the grid is deterministic
     under any parallel schedule.
     """
-    resonant = optimize_pulse(OptimizationProblem(
-        Atom(gamma_ratio, 1.0), family, mu_free=mu_free, seed=seed))
-    warm = {k: v for k, v in resonant.params.items()}
-    if not mu_free:
-        warm.pop("mu", None)
-        warm.pop("t_shift", None)
+    problem = OptimizationProblem(Atom(gamma_ratio, 1.0), family, mu_free=mu_free,
+                                  seed=seed)
+    resonant = optimize_pulse(problem)
+    # a frozen delay is left out of the warm start
+    names = _param_names(problem)
+    warm = {k: v for k, v in resonant.params.items() if k in names}
     tasks = [(family, gamma_ratio, d1, d2, mu_free, seed, n_starts, warm)
              for d1 in delta1_values for d2 in delta2_values]
     cells = _run(tasks, _detuning_cell, jobs)

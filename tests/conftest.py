@@ -3,9 +3,13 @@
 The oracles here are deliberately independent of the package's numerical
 paths: a dense two-dimensional cumulative-trapezoid evaluation of the
 excitation probability, and a fixed-step classical Runge-Kutta integrator
-for the driven master equation. The coherent maximum also has a reference
-route through scipy's ``solve_ivp`` on the package's right-hand side.
+for the driven master equation. The excitation probability also has the
+unshifted compact form under adaptive quadrature, and the coherent maximum
+a reference route through scipy's ``solve_ivp`` on the package's
+right-hand side.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from scipy.integrate import solve_ivp
 from tpaopt.coherent import lindblad_rhs
 from tpaopt.model import Atom
 from tpaopt.numutil import refine_max
+from tpaopt.quadrature import integrate
 from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, OptimalState, RisingExpProduct)
 
@@ -42,6 +47,38 @@ def pf_brute_force(atom, amplitude, t, lo, n=2000, richardson=True):
         return once(n)
     p1, p2 = once(n), once(2 * n - 1)
     return p2 + (p2 - p1) / 3.0
+
+
+def pf_compact(atom, state, t, t0=-np.inf, rel_tol=1e-9):
+    """P_f(t) from the compact unshifted form under nested adaptive quadrature.
+
+    Algebraically identical to the shifted form of the reference route, but
+    its exponentials are not rebalanced, so it holds only at moderate
+    rate*time products.
+    """
+    ge, gf, d1, d2 = atom.gamma_e, atom.gamma_f, atom.delta1, atom.delta2
+    lo2 = max(state.support2()[0], t0)
+    hi2 = min(t, state.support2()[1])
+    if hi2 <= lo2:
+        return 0.0
+    lo1 = max(state.support1()[0], t0)
+
+    def g(t2):
+        hi1 = min(t2, state.support1()[1])
+        if hi1 <= lo1:
+            return 0.0 + 0.0j
+        f = lambda tau: np.exp((1j * d1 + 0.5 * ge) * tau) * state.amplitude(t2, tau)
+        return integrate(f, lo1, hi1, rel_tol=rel_tol * 0.1,
+                         breakpoints=tuple(state.breakpoints1()) + (t2,))
+
+    def outer(t2_arr):
+        t2_arr = np.atleast_1d(t2_arr)
+        vals = np.array([g(x) for x in t2_arr])
+        return np.exp((1j * d2 + 0.5 * (gf - ge)) * t2_arr) * vals
+
+    o = integrate(outer, lo2, hi2, rel_tol=rel_tol,
+                  breakpoints=tuple(state.breakpoints2()) + tuple(state.breakpoints1()))
+    return float(ge * gf * math.exp(-gf * t) * abs(o) ** 2)
 
 
 def rk4_fixed_step(rhs, y0, t0, t1, dt):

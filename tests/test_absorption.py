@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from tpaopt import absorption as ab
+from tpaopt.coherent import CoherentDrive
 from tpaopt.model import Atom
 from tpaopt.optimal import pmax_bound
 from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, OptimalState, RisingExpProduct)
-from conftest import pf_brute_force, random_atom, random_state
+from conftest import pf_brute_force, pf_compact, random_atom, random_state
 
 
 class TestPfAt:
@@ -67,8 +68,17 @@ class TestPfAt:
             lo, hi = ab.scan_bounds(atom, st)
             t = rng.uniform(lo + 0.3 * (hi - lo), lo + 0.8 * (hi - lo))
             a = ab.pf_at(atom, st, t, method="quadrature", rel_tol=1e-12)
-            b = ab.pf_at(atom, st, t, method="compact", rel_tol=1e-12)
+            b = pf_compact(atom, st, t, rel_tol=1e-12)
             assert b == pytest.approx(a, rel=1e-10, abs=1e-13)
+
+    def test_compact_method_rejected(self):
+        # the compact form is a test oracle (conftest.pf_compact), not a route
+        with pytest.raises(ValueError):
+            ab.pf_at(Atom(1.0, 1.0), GaussianProduct(1.0, 1.0), 0.5, method="compact")
+
+    def test_inner_integral_needs_a_state_family(self):
+        with pytest.raises(TypeError):
+            ab.decayed_inner(Atom(1.0, 1.0), CoherentDrive(1.0, 1.0, 1.0, 1.0), [0.0])
 
 
 class TestInnerProduct:
@@ -97,6 +107,12 @@ class TestInnerProduct:
 
             def breakpoints2(self):
                 return base.breakpoints1()
+
+            def t1_scale(self):
+                return base.t2_scale()
+
+            def t2_scale(self):
+                return base.t1_scale()
 
         assert ab.pf_inner_product(atom, Reflected(), 0.0) == \
             pytest.approx(0.0, abs=1e-12)
@@ -143,11 +159,12 @@ class TestInnerProduct:
             assert b == pytest.approx(a, abs=1e-8)
 
     def test_kernel_magnitude_bound(self, rng):
+        # the matched weight of the inner product is the matched amplitude
         atom = Atom(2.3, 1.0)
-        kern = ab.Kernel(atom, 0.5)
+        kern = OptimalState(atom, 0.5).amplitude
         t = rng.uniform(-8, 0.5, size=(200, 2))
         vals = kern(t[:, 0], t[:, 1])
-        assert np.all(vals <= kern.magnitude_bound + 1e-12)
+        assert np.all(vals <= math.sqrt(atom.gamma_e * atom.gamma_f) + 1e-12)
         assert np.all(vals >= 0)
 
 

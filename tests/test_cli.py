@@ -5,6 +5,8 @@ import pytest
 
 from tpaopt.cli import (_preset_path, build_parser, load_config, main,
                         save_config)
+from tpaopt.optimize import FAMILIES as OPTIMIZABLE
+from tpaopt.states import FAMILIES
 from conftest import strip_timestamp
 
 
@@ -90,6 +92,22 @@ def test_curve_rerun_byte_identical(tmp_path):
     a = strip_timestamp((out1 / "curve.csv").read_text())
     b = strip_timestamp((out2 / "curve.csv").read_text())
     assert a == b
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["curve", "--family", "chirped"], ["'chirped'", *FAMILIES]),
+    (["curve", "--family", "gaussian-product", "--omega1", "1"],
+     ["gaussian_product", "omega2"]),
+    (["optimize", "--family", "optimal"], ["'optimal'", *OPTIMIZABLE]),
+])
+def test_family_input_errors_are_usage_errors(tmp_path, capsys, argv, words):
+    # one line naming the family and what is missing, or the valid tags
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("tpaopt: error: ")
+    assert all(w in err for w in words)
 
 
 def test_coherent_command(tmp_path):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -278,6 +281,24 @@ def test_default_starts_cover_linewidth_scales():
     widths = sorted({s["omega1"] for s in starts})
     assert widths[0] == pytest.approx(2.0)      # gamma_e / 2
     assert widths[-1] == pytest.approx(10.0)    # 2 (gamma_e + gamma_f)
+
+
+_PINS = json.loads((Path(__file__).parent / "family_pins.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_PINS))
+def test_parameter_names_and_starts_are_pinned(key):
+    # literal values recorded before the family table: parameter names,
+    # seeds and the encode/decode round trip, with their key order
+    family, ratio, policy = key.split()
+    problem = OptimizationProblem(Atom(float(ratio), 1.0), family,
+                                  mu_free=policy == "mu_free")
+    pin = _PINS[key]
+    starts = default_starts(problem)
+    assert opt._param_names(problem) == tuple(pin["names"])
+    assert [list(map(list, s.items())) for s in starts] == pin["starts"]
+    assert [list(map(list, opt._decode(problem, opt._encode(problem, s)).items()))
+            for s in starts] == pin["decoded"]
 
 
 def test_asymptotic_checks_columns():

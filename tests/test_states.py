@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tpaopt.model import Atom, TimeWindow
-from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
+from tpaopt.states import (FAMILIES, DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, GridTooCoarseError, OptimalState,
                            RisingExpProduct, SchmidtResult,
                            UnsupportedFamilyError, WindowTooSmallError,
@@ -235,8 +235,7 @@ class TestSpectralDensities:
 
 class TestSerialization:
     def test_round_trip_all_families(self, rng):
-        for fam in ("gaussian_product", "entangled_gaussian", "rising_exp",
-                    "decaying_exp", "optimal"):
+        for fam in FAMILIES:
             st_ = random_state(rng, fam)
             d = st_.to_dict()
             back = state_from_dict(d)

@@ -116,3 +116,14 @@ def test_grid_exports(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc["meta"]["note"] == "x"
     assert np.asarray(doc["values"]).shape == (2, 1)
+
+
+def test_sensitivity_reoptimizes_the_decaying_shift():
+    # the decaying family's delay is t_shift; the map re-optimizes it too
+    atom = Atom(1.0, 1.0)
+    base = optimize_pulse(OptimizationProblem(atom, "decaying_exp"))
+    grid = sensitivity_map(atom, "decaying_exp", [base.params["omega1"]],
+                           [base.params["omega2"]])
+    assert grid.axes[0][0] == "omega1" and grid.axes[1][0] == "omega2"
+    assert grid.values[0, 0] == pytest.approx(base.p_max, abs=1e-6)
+    assert grid.cells[0]["mu"] == pytest.approx(base.params["t_shift"], rel=1e-2)
