@@ -7,7 +7,9 @@ independent components (three populations, three coherences) form a linear
 `evolve` integrates it with scipy's ``solve_ivp`` (RK45) and is the reference
 route; `pf_max_coherent` steps the same Dormand-Prince 5(4) pair with the
 same step control through a stepper written for the linear system, which
-builds each step's stage generators in one matrix product.
+builds each step's stage generators in one matrix product. On request the
+stepper also carries the forward sensitivities dy/d(omega1, omega2, mu)
+through each accepted step's stages, which give the gradient of the maximum.
 """
 
 import math
@@ -51,6 +53,18 @@ class CoherentDrive:
         t = np.asarray(t, dtype=float)
         return (self.omega2**2 / (2 * np.pi)) ** 0.25 * np.exp(
             -self.omega2**2 * (t - self.mu) ** 2 / 4.0)
+
+    def envelope_derivatives(self, t):
+        """Derivatives of envelope1 (row 0) and envelope2 (row 1) by
+        theta = (omega1, omega2, mu), shape (2, 3) + shape of t."""
+        t = np.asarray(t, dtype=float)
+        s = t - self.mu
+        out = np.zeros((2, 3) + t.shape)
+        out[0, 0] = self.envelope1(t) * (0.5 / self.omega1 - 0.5 * self.omega1 * t**2)
+        e2 = self.envelope2(t)
+        out[1, 1] = e2 * (0.5 / self.omega2 - 0.5 * self.omega2 * s**2)
+        out[1, 2] = e2 * (0.5 * self.omega2**2 * s)
+        return out
 
     def default_window(self, atom: Atom, n_samples=800):
         """Window covering both envelopes to 9 sigma plus a decay margin."""
@@ -125,6 +139,22 @@ def _generators(atom: Atom, drive: CoherentDrive):
         coef[:, 1] = c1 * drive.envelope1(ts)
         coef[:, 2] = c2 * drive.envelope2(ts)
         return (coef @ basis).reshape(-1, 9, 9)
+
+    return at
+
+
+def _generator_derivatives(atom: Atom, drive: CoherentDrive):
+    """times -> stack of dM/dtheta, theta = (omega1, omega2, mu), with the
+    three 9x9 blocks stacked into rows: shape (len(times), 27, 9)."""
+    basis = np.stack(_system_matrices(atom)[1:]).reshape(2, 81)
+    c1 = math.sqrt(atom.gamma_e * drive.n1)
+    c2 = math.sqrt(atom.gamma_f * drive.n2)
+
+    def at(ts):
+        coef = drive.envelope_derivatives(ts)
+        coef[0] *= c1
+        coef[1] *= c2
+        return (coef.T @ basis).reshape(-1, 27, 9)
 
     return at
 
@@ -217,7 +247,7 @@ def _rms(x):
 
 @dataclass(frozen=True)
 class _Steps:
-    """Accepted steps: ends t (n+1,), states y (n+1, 9), dense q (n, 9, 4)."""
+    """Accepted steps: ends t (n+1,), states y (n+1, k), dense q (n, k, 4)."""
 
     t: np.ndarray
     y: np.ndarray
@@ -235,7 +265,7 @@ class _Steps:
                 + self.y[seg, rows])
 
 
-def _dormand_prince(generators, t0, t1, rtol, atol):
+def _dormand_prince(generators, t0, t1, rtol, atol, derivatives=None):
     """Dormand-Prince 5(4) steps of y' = M(t) y from the ground state at t0.
 
     Initial step and step control are solve_ivp's RK45 ones (safety 0.9,
@@ -243,6 +273,15 @@ def _dormand_prince(generators, t0, t1, rtol, atol):
     minimum step 10 ulp of t, rtol floored at 100 eps with a warning), so
     rtol and atol mean what they mean there. A step-size underflow or a
     non-finite error norm raises `IntegrationError`.
+
+    Returns the steps of y and, given ``derivatives`` (times -> stacked
+    dM/dtheta as `_generator_derivatives` builds them), the steps of the
+    forward sensitivities S = dy/dtheta, else None. S obeys
+    S' = S M^T + (dM/dtheta) y and takes each accepted step's own stages,
+    so up to rounding it is the exact derivative of the discrete solution
+    at fixed steps; the error control sees y alone, and y's steps are the
+    same with or without it. S is flattened to 27 columns, column 9 i + j holding
+    d y_j / d theta_i.
     """
     if rtol < 100 * np.finfo(float).eps:
         warnings.warn(f"rtol {rtol} is below 100 eps; using 100 eps", stacklevel=3)
@@ -270,6 +309,14 @@ def _dormand_prince(generators, t0, t1, rtol, atol):
     z = np.empty((8, 9))   # y, then the stages k_0 ... k_6 of a step
     t = t0
     ts, ys, qs = [t], [y], []
+    if derivatives is not None:
+        # X = (S, y) steps with the generator [I3 (x) M | dM/dtheta] (27 x 36);
+        # its y columns are refilled from y's own stages every step
+        g = np.zeros((5, 27, 36))
+        kx = np.empty((8, 36))   # X, then its stages
+        sens = np.zeros(27)      # the ground state at t0 does not move with theta
+        kx[7, :27] = derivatives(np.array([t0]))[0] @ y
+        ss, sqs = [sens], []
     while t < t1:
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -298,35 +345,65 @@ def _dormand_prince(generators, t0, t1, rtol, atol):
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
         qs.append(z[1:].T @ _P)
+        if derivatives is not None:
+            for i in range(0, 27, 9):
+                g[:, i:i + 9, i:i + 9] = m
+            g[:, :, 27:] = derivatives(t + _C[1:] * h)
+            kx[0, :27], kx[1, :27] = sens, kx[7, :27]
+            kx[:, 27:] = z
+            for s in range(1, 6):
+                kx[s + 1, :27] = g[s - 1] @ (w[s, :s + 1] @ kx[:s + 1])
+            x_new = w[6] @ kx[:7]
+            x_new[27:] = y_new
+            kx[7, :27] = g[4] @ x_new
+            sens = x_new[:27]
+            sqs.append(kx[1:, :27].T @ _P)
+            ss.append(sens)
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    return _Steps(np.array(ts), np.array(ys), np.array(qs))
+    ts = np.array(ts)
+    return (_Steps(ts, np.array(ys), np.array(qs)),
+            None if derivatives is None else _Steps(ts, np.array(ss), np.array(sqs)))
 
 
 def pf_max_coherent(atom: Atom, drive: CoherentDrive, window=None,
-                    rtol=1e-8, atol=1e-10, n_scan=1200):
+                    rtol=1e-8, atol=1e-10, n_scan=1200, gradient=False):
     """Maximum of the final-state population over the window.
 
     The master equation is stepped once by `_dormand_prince` (solve_ivp's
     RK45 step control, so rtol/atol mean the same as for `evolve`); rho_ff
     is scanned on n_scan points of its dense output and the maximum refined
     by `refine_max` at the root of the slope d rho_ff/dt, row 2 of M(t) y.
+    Returns (t_max, p_max), and with ``gradient`` also d p_max/d theta for
+    theta = (omega1, omega2, mu): the slope vanishes at the maximum, so this
+    is d rho_ff/d theta at fixed time (envelope theorem), read from the
+    dense output of the stepper's forward sensitivities at the slope's root.
+    (t_max, p_max) are the same bit for bit with or without it.
     """
     if window is None:
         window = drive.default_window(atom)
     generators = _generators(atom, drive)
-    steps = _dormand_prince(generators, window.t_start, window.t_end, rtol, atol)
+    steps, sens = _dormand_prince(generators, window.t_start, window.t_end, rtol, atol,
+                                  _generator_derivatives(atom, drive) if gradient else None)
     ts = np.linspace(window.t_start, window.t_end, n_scan)
     pf = steps(ts, slice(2, 3))[:, 0]
     i = int(np.argmax(pf))
     win = slice(max(i - 1, 0), i + 2)
     slopes = np.einsum("ij,ij->i", generators(ts[win])[:, 2], steps(ts[win]))
 
-    def trial(k):
-        def at(t):
-            y = steps(np.array([t]))[0]
-            return generators(np.array([t]))[0, 2] @ y, y[2]
-        return at
+    def at(t):
+        y = steps(np.array([t]))[0]
+        return generators(np.array([t]))[0, 2] @ y, y[2]
 
-    return refine_max(ts[win], pf[win], slopes, trial, 1e-6 / atom.gamma_f)
+    xtol = 1e-6 / atom.gamma_f
+    t_max, p_max = refine_max(ts[win], pf[win], slopes, lambda k: at, xtol)
+    if not gradient:
+        return t_max, p_max
+    # t_max lies within xtol of the slope's root; there d rho_ff/d mu would
+    # be off by about xtol * d2 rho_ff/dt2, since the maximum moves with
+    # pulse 2. A secant step on the slope reads the gradient at the root.
+    ds = at(t_max + xtol)[0] - at(t_max - xtol)[0]
+    dt = -at(t_max)[0] * 2.0 * xtol / ds if ds else 0.0
+    t_root = t_max + dt if abs(dt) <= 2.0 * xtol else t_max
+    return t_max, p_max, sens(np.array([t_root]), slice(2, 27, 9))[0]

@@ -3,12 +3,14 @@
 Parameters live in transformed coordinates (log for spectral widths,
 identity for delays) inside the search box of `search_box`, and a
 deterministic set of multistart seeds spans the atomic linewidth scales.
-The two-photon families climb with bounded L-BFGS-B (`lbfgs_trust`) on a
-gradient from the envelope theorem: the time maximum t* has zero time slope,
-so the gradient of p_max is the parameter derivative of P_f at fixed t*,
-taken by central differences of the fast route. Each run is confined to a
-trust box around its centre and re-centred while it stops on an inner face
-of that box. Coherent drives keep the derivative-free Nelder-Mead simplex.
+Every family climbs with bounded L-BFGS-B (`lbfgs_trust`) on a gradient
+from the envelope theorem: the time maximum t* has zero time slope, so the
+gradient of p_max is the parameter derivative of P_f at fixed t*. For the
+two-photon families it is taken by central differences of the fast route;
+for coherent drives it is the dense output of the DP5 stepper's forward
+sensitivities. Each run is confined to a trust box around its centre and
+re-centred while it stops on an inner face of that box. `nelder_mead`
+remains for the 1-D delay search of `sweeps` and as a test reference.
 The starts run in order until two of them agree to 1e-9; ties between the
 starts that ran are broken toward the lexicographically smallest parameter
 vector for reproducibility.
@@ -155,27 +157,39 @@ def lbfgs_trust(fg, x0, lo, hi, radius, max_evals):
     (intersected with the box) around its centre x_c; while it stops on a
     face of that trust box that is not a face of [lo, hi], it is re-centred
     there and run again, so no quasi-Newton step leaves the neighbourhood
-    of the path. Returns (x, fx, n_evals, converged, stationarity):
-    converged means the last run succeeded off every inner trust face, and
-    stationarity is the max-norm of the projected gradient on [lo, hi].
+    of the path. L-BFGS-B works in the coordinates x / (radius / 2), in
+    which every trust box is +-2: a delay then steps on the same scale as a
+    log width. Returns (x, fx, n_evals, converged, stationarity): converged
+    means the last run succeeded off every inner trust face, and
+    stationarity is the max-norm of the projected gradient on [lo, hi], in
+    the coordinates of x.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    scale = 0.5 * np.asarray(radius, dtype=float)
+
+    def fg_scaled(u):
+        f, g = fg(u * scale)
+        return f, g * scale
+
+    u = np.clip(np.asarray(x0, dtype=float), lo, hi) / scale
+    ulo, uhi = lo / scale, hi / scale
     n_evals = 0
     while True:
-        tlo, thi = np.maximum(lo, x - radius), np.minimum(hi, x + radius)
-        # gtol sits above the difference quotients' noise (a few 1e-8 at
-        # delay steps of 1e-6), below which the line search fails instead;
-        # both stops leave p_max within about 1e-11 relative of the optimum
-        res = minimize(fg, x, jac=True, method="L-BFGS-B",
+        tlo, thi = np.maximum(ulo, u - 2.0), np.minimum(uhi, u + 2.0)
+        # gtol (on the scaled gradient) sits above the difference quotients'
+        # noise (a few 1e-8 at delay steps of 1e-6), below which the line
+        # search fails instead; both stops leave p_max within about 1e-11
+        # relative of the optimum
+        res = minimize(fg_scaled, u, jac=True, method="L-BFGS-B",
                        bounds=list(zip(tlo, thi)),
                        options={"maxfun": max(max_evals - n_evals, 1),
                                 "ftol": 1e-13, "gtol": 1e-7})
         n_evals += res.nfev
-        x = res.x
-        inner_face = np.any(((x <= tlo) & (tlo > lo)) | ((x >= thi) & (thi < hi)))
+        u = res.x
+        inner_face = np.any(((u <= tlo) & (tlo > ulo)) | ((u >= thi) & (thi < uhi)))
         if not inner_face or n_evals >= max_evals:
             break
-    stationarity = float(np.max(np.abs(np.clip(x - res.jac, lo, hi) - x)))
+    x = u * scale
+    stationarity = float(np.max(np.abs(np.clip(x - res.jac / scale, lo, hi) - x)))
     return x, float(res.fun), n_evals, bool(res.success) and not inner_face, stationarity
 
 
@@ -211,12 +225,14 @@ def build_state(problem, params):
                        {"n1": problem.n1, "n2": problem.n2, **params})
 
 
-def max_over_time(problem, obj):
+def max_over_time(problem, obj, gradient=False):
     """(t_at_max, p_max) of a built state or drive; coherent drives are
-    integrated to the problem's ``coherent_rtol`` (atol = rtol / 100)."""
+    integrated to the problem's ``coherent_rtol`` (atol = rtol / 100), and
+    with ``gradient`` a drive's d p_max / d(omega1, omega2, mu) comes third."""
     if problem.family == "coherent":
         return coherent.pf_max_coherent(problem.atom, obj, rtol=problem.coherent_rtol,
-                                        atol=problem.coherent_rtol * 1e-2)
+                                        atol=problem.coherent_rtol * 1e-2,
+                                        gradient=gradient)
     return absorption.pf_max_over_t(problem.atom, obj)
 
 
@@ -245,9 +261,13 @@ def _scales(problem):
 
 
 def _objective(problem):
-    """Maximized-over-time probability as a cached function of parameters;
-    points outside the search box get a penalty instead (for the simplex)."""
+    """Maximized-over-time probability as a cached function of parameters,
+    x -> (-p_max, t_at_max); points outside the search box get a penalty
+    instead (for the simplex). A coherent drive's entry carries -grad p_max
+    third, from the stepper's sensitivities: every coherent evaluation is
+    made by the gradient solver, which needs it."""
     lo, hi = _encoded_box(problem)
+    names = _param_names(problem)
     cache = {}
 
     def evaluate(x):
@@ -258,8 +278,17 @@ def _objective(problem):
         if penalty > 0:
             cache[key] = (2.0 + penalty, 0.0)
             return cache[key]
-        tm, pm = max_over_time(problem, build_state(problem, _decode(problem, x)))
-        cache[key] = (-pm, tm)
+        params = _decode(problem, x)
+        state = build_state(problem, params)
+        if problem.family == "coherent":
+            tm, pm, grad = max_over_time(problem, state, gradient=True)
+            # names are (omega1, omega2[, mu]), the order of grad; a log
+            # width takes the chain factor omega
+            chain = np.array([params[n] if _is_width(n) else 1.0 for n in names])
+            cache[key] = (-pm, tm, -grad[:len(names)] * chain)
+        else:
+            tm, pm = max_over_time(problem, state)
+            cache[key] = (-pm, tm)
         return cache[key]
 
     return evaluate
@@ -323,8 +352,9 @@ def default_starts(problem):
 def optimize_pulse(problem: OptimizationProblem, starts=None):
     """Multistart search; returns the best point of the starts that ran.
 
-    Two-photon families climb by `lbfgs_trust` on the envelope gradient
-    inside the search box; coherent drives by `nelder_mead`. The starts run
+    Every family climbs by `lbfgs_trust` on the envelope gradient inside
+    the search box: two-photon families on difference quotients at fixed
+    t*, coherent drives on the stepper's sensitivities. The starts run
     in order until AGREEING_STARTS of them lie within TIE of the best value
     so far; the rest are listed in ``skipped_starts``. Seeds are jittered
     (log-normally for widths) by the problem seed when it is nonzero;
@@ -336,20 +366,15 @@ def optimize_pulse(problem: OptimizationProblem, starts=None):
     if not starts:
         raise ValueError("optimize_pulse needs at least one start")
     rng = np.random.default_rng(problem.seed)
-    scales = _scales(problem)
     per_start = max(problem.max_evals // max(len(starts), 1), 200)
     if problem.family == "coherent":
-        steps = np.array([0.3 if _is_width(n) else s
-                          for n, s in zip(_param_names(problem), scales)])
-
-        def climb(x0):
-            return nelder_mead(lambda v: evaluate(v)[0], x0, steps, max_evals=per_start)
+        def fg(x):
+            neg_p, _, neg_grad = evaluate(x)
+            return neg_p, neg_grad
     else:
         fg = _envelope_gradient(problem, evaluate)
-        lo, hi = _encoded_box(problem)
-
-        def climb(x0):
-            return lbfgs_trust(fg, x0, lo, hi, 2.0 * scales, per_start)
+    lo, hi = _encoded_box(problem)
+    radius = 2.0 * _scales(problem)
     records = []
     total_evals = 0
     for i, p in enumerate(starts):
@@ -357,7 +382,7 @@ def optimize_pulse(problem: OptimizationProblem, starts=None):
         if problem.seed != 0 and i > 0:
             jitter = rng.normal(0.0, 0.05, size=x0.size)
             x0 = x0 + jitter
-        x, fx, nev, conv, stat = climb(x0)
+        x, fx, nev, conv, stat = lbfgs_trust(fg, x0, lo, hi, radius, per_start)
         total_evals += nev
         records.append({"start": dict(p), "value": -fx, "converged": conv,
                         "n_evals": nev, "x": x, "stationarity": stat})
@@ -367,7 +392,7 @@ def optimize_pulse(problem: OptimizationProblem, starts=None):
             break
     best = min(near, key=lambda r: tuple(r["x"]))
     params = _decode(problem, best["x"])
-    neg_p, t_at = evaluate(best["x"])
+    neg_p, t_at = evaluate(best["x"])[:2]
     starts_out = [{"start": r["start"], "value": r["value"],
                    "converged": r["converged"], "n_evals": r["n_evals"]}
                   for r in records]

@@ -436,3 +436,19 @@ class TestExcitationCurve:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "t*gamma_f,P_f"
         assert len(data) == 51
+
+
+@pytest.mark.parametrize("family", ["gaussian_product", "entangled_gaussian",
+                                    "rising_exp", "decaying_exp", "optimal"])
+def test_flipping_both_detunings_keeps_the_maximum(family):
+    # every family's amplitude is real, so (delta1, delta2) -> (-delta1,
+    # -delta2) only conjugates the outer amplitude: P_f(t) is unchanged
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        state = random_state(rng, family)
+        atom = random_atom(rng)
+        flipped = Atom(atom.gamma_e, atom.gamma_f, -atom.delta1, -atom.delta2)
+        t, p = ab.pf_max_over_t(atom, state)
+        t_f, p_f = ab.pf_max_over_t(flipped, state)
+        assert p_f == pytest.approx(p, rel=1e-12, abs=0.0)
+        assert t_f == pytest.approx(t, rel=1e-12, abs=1e-12)

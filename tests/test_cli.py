@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import tpaopt.optimize as opt
 from tpaopt.cli import (_preset_path, build_parser, load_config, main,
                         save_config)
+from tpaopt.model import Atom
 from tpaopt.optimize import FAMILIES as OPTIMIZABLE
 from tpaopt.states import FAMILIES
 from conftest import strip_timestamp
@@ -143,6 +145,24 @@ def test_optimize_command_deterministic_rerun(tmp_path):
     d2 = json.loads((out2 / "optimize.json").read_text())
     d1["headers"] = d2["headers"] = None  # timestamp line differs
     assert d1 == d2
+
+
+def test_optimize_command_coherent_result_fields(tmp_path):
+    # stationarity is the max-norm of the projected gradient at the optimum
+    # (in log widths and the delay); converged means L-BFGS-B succeeded off
+    # every inner face of its trust box
+    main(["optimize", "--family", "coherent", "--gamma-ratio", "1", "--out", str(tmp_path)])
+    res = json.loads((tmp_path / "optimize.json").read_text())["result"]
+    assert res["converged"] is True
+    problem = opt.OptimizationProblem(Atom(1.0, 1.0), "coherent")
+    x = opt._encode(problem, res["params"])
+    lo, hi = opt._encoded_box(problem)
+    grad = opt._objective(problem)(x)[2]
+    projected = np.max(np.abs(np.clip(x - grad, lo, hi) - x))
+    assert res["stationarity"] == pytest.approx(projected, rel=1e-6)
+    assert res["stationarity"] < 1e-6
+    assert res["p_max"] == pytest.approx(0.214076936739, abs=1e-9)
+    assert [s["converged"] for s in res["starts"]] == [True, True]
 
 
 def test_optimize_command_writes_actual_search_box(tmp_path):

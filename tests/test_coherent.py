@@ -134,11 +134,33 @@ def test_pf_max_matches_solve_ivp_route(rtol):
 
 
 @pytest.mark.parametrize("rtol", [1e-7, 1e-10])
+def test_gradient_leaves_the_maximum_bitwise(rtol):
+    # the sensitivities ride along without touching y's steps
+    for atom, d in _seeded_drives(12):
+        plain = pf_max_coherent(atom, d, rtol=rtol, atol=rtol * 1e-2)
+        tm, pm, grad = pf_max_coherent(atom, d, rtol=rtol, atol=rtol * 1e-2,
+                                       gradient=True)
+        assert (tm, pm) == plain
+        assert grad.shape == (3,) and np.all(np.isfinite(grad))
+
+
+def test_flipping_both_detunings_keeps_the_coherent_maximum():
+    # real envelopes: flipping both detunings conjugates rho, so rho_ff
+    # and its maximum are unchanged
+    for atom, d in _seeded_drives(10, seed=8):
+        flipped = Atom(atom.gamma_e, atom.gamma_f, -atom.delta1, -atom.delta2)
+        t, p = pf_max_coherent(atom, d)
+        t_f, p_f = pf_max_coherent(flipped, d)
+        assert p_f == pytest.approx(p, rel=1e-12, abs=0.0)
+        assert t_f == pytest.approx(t, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("rtol", [1e-7, 1e-10])
 def test_stepper_preserves_trace(rtol):
     for atom, d in _seeded_drives(30):
         window = d.default_window(atom)
-        steps = _dormand_prince(_generators(atom, d), window.t_start,
-                                window.t_end, rtol, rtol * 1e-2)
+        steps, _ = _dormand_prince(_generators(atom, d), window.t_start,
+                                   window.t_end, rtol, rtol * 1e-2)
         assert steps.t[0] == window.t_start and steps.t[-1] == window.t_end
         assert np.max(np.abs(steps.y[:, :3].sum(axis=1) - 1.0)) <= 1e-8
 

@@ -205,6 +205,30 @@ def test_envelope_gradient_matches_remaximized_difference(family, atom, params):
     assert -neg_grad == pytest.approx(np.array(reference), rel=1e-5)
 
 
+@pytest.mark.parametrize("atom, params", [
+    (Atom(1.0, 1.0), {"omega1": 1.2, "omega2": 2.0, "mu": 0.4}),
+    (Atom(0.5, 1.0, 0.8, -0.6), {"omega1": 0.9, "omega2": 1.6, "mu": 1.0}),
+])
+@pytest.mark.parametrize("mu_free", [True, False])
+def test_coherent_gradient_matches_central_differences(atom, params, mu_free):
+    # the stepper's sensitivities at t*, chain-ruled to log widths, against
+    # central differences of the re-maximized tight-tolerance maximum
+    problem = OptimizationProblem(atom, "coherent", mu_free=mu_free, coherent_rtol=1e-11)
+    x = opt._encode(problem, params)
+    neg_grad = opt._objective(problem)(x)[2]
+    h = 1e-4
+    reference = []
+    for i in range(x.size):
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        p_up, p_down = (opt.max_over_time(
+            problem, opt.build_state(problem, opt._decode(problem, v)))[1]
+            for v in (up, down))
+        reference.append((p_up - p_down) / (2.0 * h))
+    assert -neg_grad == pytest.approx(np.array(reference), rel=1e-5)
+
+
 def test_trust_box_confines_every_state(monkeypatch):
     # one unconfined quasi-Newton step from this start once jumped to
     # omega2 = 1e-3, a state that needs about 300k panels
@@ -247,6 +271,7 @@ def _nelder_mead_multistart(problem, n_starts=2):
     ("entangled_gaussian", Atom(5.0, 1.0, 1.0, 0.0), True),
     ("rising_exp", Atom(1.0, 1.0), True),
     ("decaying_exp", Atom(3.0, 1.0), False),
+    ("coherent", Atom(1.0, 1.0), True),
 ])
 def test_gradient_optimizer_reaches_nelder_mead(family, atom, mu_free):
     problem = OptimizationProblem(atom, family, mu_free=mu_free)

@@ -102,6 +102,14 @@ def test_grid_deterministic_across_workers():
     assert a.cells == b.cells
 
 
+def test_coherent_grid_deterministic_across_workers():
+    # the gradient path of coherent drives: params and p_max bit for bit
+    a = ratio_sweep("coherent", [1.0], jobs=1)
+    b = ratio_sweep("coherent", [1.0], jobs=2)
+    assert np.array_equal(a.values, b.values)
+    assert a.cells == b.cells
+
+
 def test_grid_exports(tmp_path):
     grid = ratio_sweep("rising_exp", [0.5, 2.0], delay_policies=("mu_free",),
                        n_starts=2)
