@@ -28,7 +28,7 @@ from .model import Atom
 from .numutil import phi1, refine_max
 from .optimal import pmax_bound
 from .quadrature import integrate, gl_panels, subdivide, _gl_nodes as _gl_nodes_cached
-from .states import OptimalState
+from .states import OptimalState, UnsupportedFamilyError
 
 
 class NotResonantError(ValueError):
@@ -41,7 +41,8 @@ def decayed_inner(atom: Atom, state, t2):
     psi(T2, tau) for the driving atom."""
     inner = getattr(state, "decayed_inner", None)
     if inner is None:
-        raise TypeError(f"no analytic inner integral for {type(state).__name__}")
+        raise UnsupportedFamilyError(
+            f"no analytic inner integral for {type(state).__name__}")
     return inner(atom, np.asarray(t2, dtype=float))
 
 

@@ -14,7 +14,7 @@ through each accepted step's stages, which give the gradient of the maximum.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
@@ -223,10 +223,8 @@ def evolve(atom: Atom, drive: CoherentDrive, window: TimeWindow | None = None,
         times=ts, rho_gg=y[0], rho_ee=y[1], rho_ff=y[2],
         rho_ge=y[3] + 1j * y[4], rho_gf=y[5] + 1j * y[6],
         rho_ef=y[7] + 1j * y[8],
-        meta={"atom": vars(atom).copy() if hasattr(atom, "__dict__") else {
-            "gamma_e": atom.gamma_e, "gamma_f": atom.gamma_f,
-            "delta1": atom.delta1, "delta2": atom.delta2},
-            "drive": drive.to_dict(), "rtol": rtol, "atol": atol},
+        meta={"atom": asdict(atom), "drive": drive.to_dict(),
+              "rtol": rtol, "atol": atol},
     )
 
 

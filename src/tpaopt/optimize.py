@@ -8,12 +8,16 @@ from the envelope theorem: the time maximum t* has zero time slope, so the
 gradient of p_max is the parameter derivative of P_f at fixed t*. For the
 two-photon families it is taken by central differences of the fast route;
 for coherent drives it is the dense output of the DP5 stepper's forward
-sensitivities. Each run is confined to a trust box around its centre and
-re-centred while it stops on an inner face of that box. `nelder_mead`
-remains for the 1-D delay search of `sweeps` and as a test reference.
-The starts run in order until two of them agree to 1e-9; ties between the
-starts that ran are broken toward the lexicographically smallest parameter
-vector for reproducibility.
+sensitivities. `_objective` returns the gradient with p_max and t*, so
+every search, the 1-D delay climb of `sweeps` included, runs on it. Each
+run is confined to a trust box around its centre and re-centred while it
+stops on an inner face of that box. The starts run in order until two of
+them agree to 1e-9; ties between the starts that ran are broken toward the
+lexicographically smallest parameter vector for reproducibility.
+
+No search in the package calls `nelder_mead`: it is the tests' reference
+optimizer, and it stays in this module because perfbench's
+`optimize.nelder_mead` span patches it here.
 """
 
 import json
@@ -61,10 +65,7 @@ class OptimizationProblem:
                              f"choose from {', '.join(FAMILIES)}")
 
     def to_dict(self):
-        d = asdict(self)
-        d["atom"] = {"gamma_e": self.atom.gamma_e, "gamma_f": self.atom.gamma_f,
-                     "delta1": self.atom.delta1, "delta2": self.atom.delta2}
-        return d
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -261,22 +262,27 @@ def _scales(problem):
 
 
 def _objective(problem):
-    """Maximized-over-time probability as a cached function of parameters,
-    x -> (-p_max, t_at_max); points outside the search box get a penalty
-    instead (for the simplex). A coherent drive's entry carries -grad p_max
-    third, from the stepper's sensitivities: every coherent evaluation is
-    made by the gradient solver, which needs it."""
+    """The climb's objective as a cached function of encoded parameters,
+    x -> (-p_max, t_at_max, -grad p_max).
+
+    At the refined maximum t* the time slope of P_f is zero, so (envelope
+    theorem) the gradient of p_max(x) = P_f(t*(x), x) is the partial
+    derivative of P_f at fixed t*. A two-photon family takes it by central
+    differences of the fast route, with steps clipped to the search box; a
+    coherent drive takes it from the stepper's sensitivities.
+    """
     lo, hi = _encoded_box(problem)
+    steps = 1e-5 * _scales(problem)
     names = _param_names(problem)
     cache = {}
+
+    def pf(x, t):
+        state = build_state(problem, _decode(problem, x))
+        return absorption.pf_at(problem.atom, state, t, method="fast")
 
     def evaluate(x):
         key = tuple(np.round(x, 12))
         if key in cache:
-            return cache[key]
-        penalty = sum(abs(v - np.clip(v, a, b)) for v, a, b in zip(x, lo, hi))
-        if penalty > 0:
-            cache[key] = (2.0 + penalty, 0.0)
             return cache[key]
         params = _decode(problem, x)
         state = build_state(problem, params)
@@ -285,41 +291,19 @@ def _objective(problem):
             # names are (omega1, omega2[, mu]), the order of grad; a log
             # width takes the chain factor omega
             chain = np.array([params[n] if _is_width(n) else 1.0 for n in names])
-            cache[key] = (-pm, tm, -grad[:len(names)] * chain)
+            grad = grad[:len(names)] * chain
         else:
             tm, pm = max_over_time(problem, state)
-            cache[key] = (-pm, tm)
+            grad = np.empty(x.size)
+            for i, h in enumerate(steps):
+                up, down = x.copy(), x.copy()
+                up[i] = min(x[i] + h, hi[i])
+                down[i] = max(x[i] - h, lo[i])
+                grad[i] = (pf(up, tm) - pf(down, tm)) / (up[i] - down[i])
+        cache[key] = (-pm, tm, -grad)
         return cache[key]
 
     return evaluate
-
-
-def _envelope_gradient(problem, evaluate):
-    """fg(x) = (-p_max, -gradient of p_max) of a two-photon family.
-
-    At the refined maximum t* the time slope of P_f is zero, so (envelope
-    theorem) the gradient of p_max(x) = P_f(t*(x), x) is the partial
-    derivative of P_f at fixed t*: a central difference of the fast route,
-    with steps clipped to the search box.
-    """
-    lo, hi = _encoded_box(problem)
-    steps = 1e-5 * _scales(problem)
-
-    def pf(x, t):
-        state = build_state(problem, _decode(problem, x))
-        return absorption.pf_at(problem.atom, state, t, method="fast")
-
-    def fg(x):
-        neg_p, t_at = evaluate(x)
-        grad = np.empty(x.size)
-        for i, h in enumerate(steps):
-            up, down = x.copy(), x.copy()
-            up[i] = min(x[i] + h, hi[i])
-            down[i] = max(x[i] - h, lo[i])
-            grad[i] = (pf(up, t_at) - pf(down, t_at)) / (up[i] - down[i])
-        return neg_p, -grad
-
-    return fg
 
 
 def default_starts(problem):
@@ -352,11 +336,10 @@ def default_starts(problem):
 def optimize_pulse(problem: OptimizationProblem, starts=None):
     """Multistart search; returns the best point of the starts that ran.
 
-    Every family climbs by `lbfgs_trust` on the envelope gradient inside
-    the search box: two-photon families on difference quotients at fixed
-    t*, coherent drives on the stepper's sensitivities. The starts run
-    in order until AGREEING_STARTS of them lie within TIE of the best value
-    so far; the rest are listed in ``skipped_starts``. Seeds are jittered
+    Every family climbs by `lbfgs_trust` on the gradient that `_objective`
+    carries, inside the search box. The starts run in order until
+    AGREEING_STARTS of them lie within TIE of the best value so far; the
+    rest are listed in ``skipped_starts``. Seeds are jittered
     (log-normally for widths) by the problem seed when it is nonzero;
     results are deterministic for a fixed seed.
     """
@@ -367,12 +350,11 @@ def optimize_pulse(problem: OptimizationProblem, starts=None):
         raise ValueError("optimize_pulse needs at least one start")
     rng = np.random.default_rng(problem.seed)
     per_start = max(problem.max_evals // max(len(starts), 1), 200)
-    if problem.family == "coherent":
-        def fg(x):
-            neg_p, _, neg_grad = evaluate(x)
-            return neg_p, neg_grad
-    else:
-        fg = _envelope_gradient(problem, evaluate)
+
+    def fg(x):
+        neg_p, _, neg_grad = evaluate(x)
+        return neg_p, neg_grad
+
     lo, hi = _encoded_box(problem)
     radius = 2.0 * _scales(problem)
     records = []

@@ -544,7 +544,7 @@ def norm_check(state, window: TimeWindow | None = None, rel_tol=1e-10):
 
     def inner(t2):
         f = lambda t1: np.abs(state.amplitude(t2, t1)) ** 2
-        bks = tuple(bk1) + ((t2,) if isinstance(state, OptimalState) else ())
+        bks = tuple(bk1) + (t2,)
         return integrate(f, lo1, hi1, rel_tol=rel_tol, breakpoints=bks).real
 
     def outer(t2_arr):

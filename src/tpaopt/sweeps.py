@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Atom
-from .optimize import (OptimizationProblem, _param_names, build_state,
-                       default_starts, max_over_time, nelder_mead, optimize_pulse)
+from .optimize import (OptimizationProblem, _encode, _encoded_box, _objective,
+                       _param_names, _scales, build_state, default_starts,
+                       lbfgs_trust, max_over_time, optimize_pulse)
 from .states import schmidt_analytic
 
 
@@ -101,28 +102,31 @@ def ratio_sweep(family, ratios, delay_policies=("mu_free", "mu_zero"),
 # ---------------------------------------------------------------------------
 
 def _sensitivity_cell(args):
-    family, ratio, w1, w2, policy, mu_frozen, seed = args
+    family, ratio, w1, w2, policy, mu_frozen = args
     atom = Atom(ratio, 1.0)
-    problem = OptimizationProblem(atom, family, mu_free=True, seed=seed)
+    problem = OptimizationProblem(atom, family, mu_free=True)
     names = _param_names(problem)  # the two widths, then the delay
 
-    def p_max(mu):
-        state = build_state(problem, dict(zip(names, (w1, w2, mu))))
-        return max_over_time(problem, state)[1]
+    if policy == "frozen" or len(names) < 3:  # without a delay, nothing to climb
+        state = build_state(problem, dict(zip(names, (w1, w2, mu_frozen))))
+        return {"p_max": max_over_time(problem, state)[1], "mu": mu_frozen,
+                "converged": True}
+    # re-optimize the delay at fixed widths: climb its coordinate alone
+    evaluate = _objective(problem)
+    widths = _encode(problem, dict(zip(names, (w1, w2, mu_frozen))))[:-1]
+    lo, hi = _encoded_box(problem)
+    radius = 2.0 * _scales(problem)
 
-    if policy == "frozen":
-        return {"p_max": p_max(mu_frozen), "mu": mu_frozen, "converged": True}
-    # re-optimize the delay at fixed widths (1-D simplex)
-    best = (-np.inf, 0.0)
-    converged = False
+    def fg(delay):
+        neg_p, _, neg_grad = evaluate(np.append(widths, delay))
+        return neg_p, neg_grad[-1:]
+
+    best = (-np.inf, 0.0, False)
     for mu0 in (mu_frozen, 1.0 / atom.gamma_e, 0.0):
-        x, fx, nev, conv, _ = nelder_mead(
-            lambda xv: -p_max(float(xv[0])), np.array([mu0]),
-            np.array([max(0.5 / atom.gamma_e, 0.05)]), max_evals=220)
+        x, fx, _, conv, _ = lbfgs_trust(fg, [mu0], lo[-1:], hi[-1:], radius[-1:], 220)
         if -fx > best[0]:
-            best = (-fx, float(x[0]))
-            converged = conv
-    return {"p_max": best[0], "mu": best[1], "converged": converged}
+            best = (-fx, float(x[0]), conv)
+    return {"p_max": best[0], "mu": best[1], "converged": best[2]}
 
 
 def sensitivity_map(atom: Atom, family, axis1, axis2, delay_policy="reoptimize",
@@ -137,7 +141,7 @@ def sensitivity_map(atom: Atom, family, axis1, axis2, delay_policy="reoptimize",
     base = optimize_pulse(problem)
     n1, n2, *delay = _param_names(problem)
     mu_opt = base.params[delay[0]] if delay else 0.0
-    tasks = [(family, ratio, w1, w2, delay_policy, mu_opt, seed)
+    tasks = [(family, ratio, w1, w2, delay_policy, mu_opt)
              for w1 in axis1 for w2 in axis2]
     cells = _run(tasks, _sensitivity_cell, jobs)
     values = np.array([c["p_max"] for c in cells]).reshape(len(axis1), len(axis2))

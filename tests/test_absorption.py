@@ -8,7 +8,8 @@ from tpaopt.coherent import CoherentDrive
 from tpaopt.model import Atom
 from tpaopt.optimal import pmax_bound
 from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
-                           GaussianProduct, OptimalState, RisingExpProduct)
+                           GaussianProduct, OptimalState, RisingExpProduct,
+                           UnsupportedFamilyError)
 from conftest import pf_brute_force, pf_compact, random_atom, random_state
 
 
@@ -77,7 +78,7 @@ class TestPfAt:
             ab.pf_at(Atom(1.0, 1.0), GaussianProduct(1.0, 1.0), 0.5, method="compact")
 
     def test_inner_integral_needs_a_state_family(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(UnsupportedFamilyError):
             ab.decayed_inner(Atom(1.0, 1.0), CoherentDrive(1.0, 1.0, 1.0, 1.0), [0.0])
 
 

@@ -185,6 +185,25 @@ def test_sweep_family_csv_deterministic_across_jobs(tmp_path):
     assert a == b
 
 
+def test_sensitivity_preset_csv_deterministic_across_jobs(tmp_path, monkeypatch):
+    # one fig8 job on a 2 x 2 grid: the delay climb of every cell must not
+    # depend on the worker count
+    import tpaopt.cli as cli
+    spec = json.loads(_preset_path("fig8").read_text())
+    spec["jobs"] = spec["jobs"][:1]
+    trimmed = tmp_path / "fig8.json"
+    trimmed.write_text(json.dumps(spec))
+    monkeypatch.setattr(cli, "_preset_path", lambda name: trimmed)
+    texts = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}"
+        assert main(["sweep", "--preset", "fig8", "--grid", "2",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        texts.append(strip_timestamp((out / spec["jobs"][0]["output"]).read_text()))
+    assert texts[0] == texts[1]
+    assert len([l for l in texts[0].splitlines() if not l.startswith("#")]) == 5
+
+
 def test_all_presets_load_and_are_documented():
     kinds = {"ratio_sweep", "comparison_sweep", "params_sweep",
              "exponential_sweep", "optimized_curve", "sensitivity",

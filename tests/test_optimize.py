@@ -191,7 +191,7 @@ def test_envelope_gradient_matches_remaximized_difference(family, atom, params):
     # the fixed-time derivative at t* equals the derivative of the maximum
     problem = OptimizationProblem(atom, family)
     x = opt._encode(problem, params)
-    _, neg_grad = opt._envelope_gradient(problem, opt._objective(problem))(x)
+    neg_grad = opt._objective(problem)(x)[2]
     h = 1e-4
     reference = []
     for i in range(x.size):
@@ -259,10 +259,19 @@ def test_trust_box_confines_every_state(monkeypatch):
 
 
 def _nelder_mead_multistart(problem, n_starts=2):
-    evaluate = opt._objective(problem)
+    # the simplex reference: -p_max inside the search box, a penalty outside
+    lo, hi = opt._encoded_box(problem)
+
+    def f(x):
+        penalty = float(np.sum(np.abs(x - np.clip(x, lo, hi))))
+        if penalty > 0:
+            return 2.0 + penalty
+        state = opt.build_state(problem, opt._decode(problem, x))
+        return -opt.max_over_time(problem, state)[1]
+
     steps = [0.3 if opt._is_width(n) else s
              for n, s in zip(opt._param_names(problem), opt._scales(problem))]
-    return max(-nelder_mead(lambda v: evaluate(v)[0], opt._encode(problem, p), steps)[1]
+    return max(-nelder_mead(f, opt._encode(problem, p), steps)[1]
                for p in default_starts(problem)[:n_starts])
 
 

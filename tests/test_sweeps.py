@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from tpaopt.model import Atom
-from tpaopt.optimize import OptimizationProblem, optimize_pulse
-from tpaopt.sweeps import detuning_map, ratio_sweep, sensitivity_map
+from tpaopt.optimize import (OptimizationProblem, _param_names, build_state,
+                             max_over_time, nelder_mead, optimize_pulse)
+from tpaopt.sweeps import (_sensitivity_cell, detuning_map, ratio_sweep,
+                           sensitivity_map)
 
 
 def test_ratio_sweep_basic():
@@ -135,3 +137,31 @@ def test_sensitivity_reoptimizes_the_decaying_shift():
     assert grid.axes[0][0] == "omega1" and grid.axes[1][0] == "omega2"
     assert grid.values[0, 0] == pytest.approx(base.p_max, abs=1e-6)
     assert grid.cells[0]["mu"] == pytest.approx(base.params["t_shift"], rel=1e-2)
+
+
+def _simplex_delay(family, ratio, w1, w2, mu_frozen):
+    # the former re-optimization of a sensitivity cell: a 3-start 1-D
+    # simplex on the delay, 220 evaluations per start
+    atom = Atom(ratio, 1.0)
+    problem = OptimizationProblem(atom, family)
+    names = _param_names(problem)
+
+    def neg_p(x):
+        state = build_state(problem, dict(zip(names, (w1, w2, float(x[0])))))
+        return -max_over_time(problem, state)[1]
+
+    return max(-nelder_mead(neg_p, np.array([mu0]),
+                            np.array([max(0.5 / atom.gamma_e, 0.05)]),
+                            max_evals=220)[1]
+               for mu0 in (mu_frozen, 1.0 / atom.gamma_e, 0.0))
+
+
+@pytest.mark.parametrize("family, ratio, w1, w2, mu_frozen", [
+    ("gaussian_product", 0.5, 1.0, 2.5, 1.5),
+    ("entangled_gaussian", 5.0, 1.5, 12.0, 0.1),
+    ("decaying_exp", 1.0, 0.9, 1.3, 0.5),
+])
+def test_sensitivity_delay_climb_reaches_simplex(family, ratio, w1, w2, mu_frozen):
+    cell = _sensitivity_cell((family, ratio, w1, w2, "reoptimize", mu_frozen))
+    assert cell["converged"]
+    assert cell["p_max"] >= _simplex_delay(family, ratio, w1, w2, mu_frozen) * (1.0 - 1e-9)
