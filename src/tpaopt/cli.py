@@ -4,6 +4,9 @@ Every output file starts with '#'-prefixed comment headers recording the
 tool version, a hash of the effective configuration, and the tolerances;
 the timestamp line is the only non-reproducible header. Presets (fig1..12)
 are JSON job lists shipped with the package, one per paper figure dataset.
+Every per-ratio preset table (fig3, 4, 5, 7, 9, 10, 11) is read from
+`sweeps.ratio_sweep`, so it, like the width and detuning maps, spreads its
+cells over ``--jobs`` workers; the writers here only arrange columns.
 """
 
 import argparse
@@ -19,7 +22,7 @@ import numpy as np
 from . import __version__, absorption, coherent, optimal, sweeps
 from .model import Atom
 from .optimize import FAMILIES as OPTIMIZABLE, OptimizationProblem
-from .optimize import asymptotic_checks, build_state, optimize_pulse, search_box
+from .optimize import build_state, optimize_pulse, search_box
 from .states import (FAMILIES, MissingParameterError, OptimalState,
                      UnsupportedFamilyError, from_fields)
 
@@ -238,11 +241,20 @@ def cmd_reference(args):
 
 
 def _preset_path(name):
-    return resources.files("tpaopt.presets").joinpath(f"{name}.json")
+    """The shipped preset ``name``; an unknown name is a usage error that
+    lists the shipped ones."""
+    presets = resources.files("tpaopt.presets")
+    path = presets.joinpath(f"{name}.json")
+    if not path.is_file():
+        names = sorted((p.name[:-len(".json")] for p in presets.iterdir()
+                        if p.name.endswith(".json")), key=lambda n: (len(n), n))
+        raise argparse.ArgumentTypeError(
+            f"preset {name!r} is not one of {', '.join(names)}")
+    return path
 
 
 def cmd_sweep(args):
-    keys = ("gamma_ratio", "family", "mu_free", "ratios", "grid", "out",
+    keys = ("gamma_ratio", "family", "ratios", "grid", "out",
             "jobs", "seed", "tol", "fast", "preset")
     cfg = _effective(args, keys)
     out = Path(cfg["out"])
@@ -262,34 +274,25 @@ def cmd_sweep(args):
 
 
 def _run_preset(spec, cfg, out):
-    heads = _headers({**cfg, "preset_description": spec.get("description", "")})
+    heads = _headers({**cfg, "preset_description": spec["description"]})
     for job in spec["jobs"]:
         kind = job["kind"]
         path = out / job["output"]
         if kind == "ratio_sweep":
             grid = sweeps.ratio_sweep(job["family"], job["ratios"],
-                                      tuple(job.get("delay_policies",
-                                                    ("mu_free", "mu_zero"))),
                                       seed=cfg["seed"], jobs=cfg["jobs"])
             grid.to_csv(path, extra_comments=heads)
             if job.get("entropy_output"):
-                rows = [(c["ratio"], c.get("entropy_bits", 0.0), c["mu_free"])
+                rows = [(c["ratio"], c["entropy_bits"], c["mu_free"])
                         for c in grid.cells]
                 _write_table(out / job["entropy_output"], heads,
                              ["ratio", "entropy_bits", "mu_free"], rows)
         elif kind == "comparison_sweep":
-            cols, rows = _comparison(job, cfg)
-            _write_table(path, heads, cols, rows)
+            _write_table(path, heads, *_comparison(job, cfg))
         elif kind == "params_sweep":
-            rows = asymptotic_checks(job["family"], job["ratios"],
-                                     mu_free=job.get("mu_free", True),
-                                     seed=cfg["seed"])
-            cols = sorted({k for r in rows for k in r})
-            _write_table(path, heads, cols,
-                         [tuple(r.get(c, "") for c in cols) for r in rows])
+            _write_table(path, heads, *_params_rows(job, cfg))
         elif kind == "exponential_sweep":
-            cols, rows = _exponential_rows(job, cfg)
-            _write_table(path, heads, cols, rows)
+            _write_table(path, heads, *_exponential_rows(job, cfg))
         elif kind == "optimized_curve":
             _optimized_curve(job, cfg, heads, path)
         elif kind == "sensitivity":
@@ -298,13 +301,11 @@ def _run_preset(spec, cfg, out):
                 job["axis1"][2] = job["axis2"][2] = cfg["grid"]
             ax = np.linspace(*job["axis1"]), np.linspace(*job["axis2"])
             grid = sweeps.sensitivity_map(atom, job["family"], ax[0], ax[1],
-                                          delay_policy=job.get("policy", "reoptimize"),
                                           seed=cfg["seed"], jobs=cfg["jobs"])
             grid.to_csv(path, extra_comments=heads)
         elif kind == "detuning":
-            n = job.get("n_fast", 21) if cfg.get("fast") else job.get("n", 41)
-            n = cfg.get("grid") or n
-            d = np.linspace(-job.get("range", 3.0), job.get("range", 3.0), n)
+            n = cfg.get("grid") or (job["n_fast"] if cfg.get("fast") else job["n"])
+            d = np.linspace(-job["range"], job["range"], n)
             grid = sweeps.detuning_map(job["family"], job["gamma_ratio"], d, d,
                                        seed=cfg["seed"], jobs=cfg["jobs"],
                                        n_starts=job.get("n_starts", 4))
@@ -319,42 +320,64 @@ def _run_preset(spec, cfg, out):
 
 
 def _comparison(job, cfg):
-    ratios = job["ratios"]
+    """Entangled vs product optima per ratio, the delay free and at zero."""
+    ent, prod = (sweeps.ratio_sweep(fam, job["ratios"], seed=cfg["seed"],
+                                    jobs=cfg["jobs"]).values.tolist()
+                 for fam in ("entangled_gaussian", "gaussian_product"))
     cols = ["ratio", "entangled_mu_free", "product_mu_free",
             "entangled_mu_zero", "product_mu_zero", "improvement_mu_free"]
-    rows = []
-    for r in ratios:
-        vals = {}
-        for fam, tag in (("entangled_gaussian", "entangled"),
-                         ("gaussian_product", "product")):
-            for free in (True, False):
-                res = optimize_pulse(OptimizationProblem(
-                    Atom(r, 1.0), fam, mu_free=free, seed=cfg["seed"]))
-                vals[f"{tag}_{'mu_free' if free else 'mu_zero'}"] = res.p_max
-        rows.append((float(r), vals["entangled_mu_free"], vals["product_mu_free"],
-                     vals["entangled_mu_zero"], vals["product_mu_zero"],
-                     vals["entangled_mu_free"] - vals["product_mu_free"]))
+    rows = [(float(r), e[0], p[0], e[1], p[1], e[0] - p[0])
+            for r, e, p in zip(job["ratios"], ent, prod)]
     return cols, rows
 
 
+def _params_rows(job, cfg):
+    """Delay-free optima per ratio with their parameters in linewidth units,
+    for the two Gaussian families."""
+    family = job["family"]
+    grid = sweeps.ratio_sweep(family, job["ratios"], ("mu_free",),
+                              seed=cfg["seed"], jobs=cfg["jobs"])
+    rows = []
+    for cell in grid.cells:
+        ge, gf = cell["ratio"], 1.0  # every sweep runs at gamma_f = 1
+        p = cell["params"]
+        row = {k: cell[k] for k in ("ratio", "p_max", "t_at_max", "converged")}
+        row["mu_ge"] = p["mu"] * ge
+        if family == "entangled_gaussian":
+            st = from_fields(FAMILIES[family], p)
+            row.update({"omega_plus": p["omega_plus"],
+                        "omega_minus": p["omega_minus"],
+                        "omega_plus_over_gf": p["omega_plus"] / gf,
+                        "omega_minus_over_gf2ge": p["omega_minus"] / (gf + 2 * ge),
+                        "two_sigma_t2": 2.0 * st.sigma_t2,
+                        "two_sigma_w2": 2.0 * st.sigma_w2,
+                        "entropy_bits": cell["entropy_bits"]})
+        else:  # gaussian_product
+            row.update({"omega1": p["omega1"], "omega2": p["omega2"],
+                        "omega1_over_ge": p["omega1"] / ge,
+                        "omega2_over_gegf": p["omega2"] / (ge + gf)})
+        rows.append(row)
+    cols = sorted({k for r in rows for k in r})
+    return cols, [tuple(r[c] for c in cols) for r in rows]
+
+
 def _exponential_rows(job, cfg):
+    """Rising pair at its closed-form optimum; decaying pair optimized with
+    the shift free and at zero."""
     cols = ["ratio", "rising_p_max", "rising_omega1", "rising_omega2",
             "decaying_shift_p_max", "decaying_noshift_p_max"]
     rows = []
-    for r in job["ratios"]:
-        atom = Atom(r, 1.0)
-        om1, om2, p_rise = absorption.pf_max_rising(atom)
-        shift = optimize_pulse(OptimizationProblem(
-            atom, "decaying_exp", mu_free=True, seed=cfg["seed"]))
-        noshift = optimize_pulse(OptimizationProblem(
-            atom, "decaying_exp", mu_free=False, seed=cfg["seed"]))
-        rows.append((float(r), p_rise, om1, om2, shift.p_max, noshift.p_max))
+    decaying = sweeps.ratio_sweep("decaying_exp", job["ratios"], seed=cfg["seed"],
+                                  jobs=cfg["jobs"]).values.tolist()
+    for r, (shift, noshift) in zip(job["ratios"], decaying):
+        om1, om2, p_rise = absorption.pf_max_rising(Atom(r, 1.0))
+        rows.append((float(r), p_rise, om1, om2, shift, noshift))
     return cols, rows
 
 
 def _optimized_curve(job, cfg, heads, path):
     atom = Atom(job["gamma_ratio"], 1.0)
-    problem = OptimizationProblem(atom, job["family"], mu_free=job.get("mu_free", True),
+    problem = OptimizationProblem(atom, job["family"], mu_free=job["mu_free"],
                                   seed=cfg["seed"])
     res = optimize_pulse(problem)
     pulse = build_state(problem, res.params)
@@ -375,27 +398,28 @@ def _optimized_curve(job, cfg, heads, path):
 
 def _biphoton_density(job, cfg, heads, out):
     atom = Atom(job["gamma_ratio"], 1.0)
+    n = 81  # points per axis
     fam = job["family"]
     if fam == "entangled_gaussian":
         problem = OptimizationProblem(atom, fam, mu_free=True, seed=cfg["seed"])
         st = build_state(problem, optimize_pulse(problem).params)
         w = 3.0 * np.sqrt(st.sigma_t2)
-        t = np.linspace(-w + st.mu / 2, w + st.mu, job.get("n", 81))
+        t = np.linspace(-w + st.mu / 2, w + st.mu, n)
         dens_t = np.abs(st.amplitude(t[:, None], t[None, :])) ** 2
         op, om = st.omega_plus, st.omega_minus
         wmax = 1.5 * max(op, om)
-        om_grid = np.linspace(-wmax, wmax, job.get("n", 81))
+        om_grid = np.linspace(-wmax, wmax, n)
         o2, o1 = np.meshgrid(om_grid, om_grid, indexing="ij")
         dens_w = (2.0 / (np.pi * op * om)) * np.exp(
             -((o1 + o2) / op) ** 2 - ((o2 - o1) / om) ** 2)
     else:
         ge, gf = atom.gamma_e, atom.gamma_f
         w = 8.0 / min(ge, gf)
-        t = np.linspace(-w, 0.0, job.get("n", 81))
+        t = np.linspace(-w, 0.0, n)
         p_joint, _, _ = optimal.arrival_densities(atom, 0.0)
         dens_t = p_joint(t[:, None], t[None, :])
         wmax = 3.0 * (ge + gf)
-        om_grid = np.linspace(-wmax, wmax, job.get("n", 81))
+        om_grid = np.linspace(-wmax, wmax, n)
         o2, o1 = np.meshgrid(om_grid, om_grid, indexing="ij")
         dens_w = (ge * gf / (4 * np.pi**2)) / (
             (o1**2 + ge**2 / 4) * ((o1 + o2) ** 2 + gf**2 / 4))
@@ -454,9 +478,6 @@ def build_parser():
     p.add_argument("--ratios")
     p.add_argument("--grid", type=int)
     p.add_argument("--fast", action="store_true", default=None)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--mu-free", dest="mu_free", action="store_true", default=None)
-    g.add_argument("--mu-zero", dest="mu_free", action="store_false")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reference", parents=[common],
@@ -476,7 +497,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedFamilyError, MissingParameterError) as exc:
+    except (UnsupportedFamilyError, MissingParameterError,
+            argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))
 
 

@@ -15,6 +15,9 @@ stops on an inner face of that box. The starts run in order until two of
 them agree to 1e-9; ties between the starts that ran are broken toward the
 lexicographically smallest parameter vector for reproducibility.
 
+This module optimizes one problem; the loops over lifetime ratios, widths
+and detunings behind the figure presets live in `sweeps`.
+
 No search in the package calls `nelder_mead`: it is the tests' reference
 optimizer, and it stays in this module because perfbench's
 `optimize.nelder_mead` span patches it here.
@@ -30,8 +33,7 @@ from scipy.optimize import minimize
 from . import absorption, coherent
 from .model import Atom
 from .states import (DecayingExpProduct, EntangledGaussian, GaussianProduct,
-                     RisingExpProduct, delay_field, from_fields, schmidt_analytic,
-                     width_names)
+                     RisingExpProduct, delay_field, from_fields, width_names)
 
 WIDTH_BOUNDS = (1e-3, 1e3)   # in gamma_f units
 DELAY_BOUNDS = (-50.0, 50.0)  # in units of the slowest lifetime
@@ -384,50 +386,3 @@ def optimize_pulse(problem: OptimizationProblem, starts=None):
         converged=best["converged"],
         stationarity=best["stationarity"], starts=starts_out,
         skipped_starts=[dict(p) for p in starts[len(records):]])
-
-
-def asymptotic_checks(family, ratio_list, mu_free=True, n_starts=8, seed=0,
-                      max_evals=2000):
-    """Optimize per lifetime ratio and emit normalized parameter columns.
-
-    Ratios should be log-spaced and span the regimes of interest (the
-    crossover sits between 1e-2 and 1e2). Rows where the optimizer fails are
-    flagged and kept.
-    """
-    rows = []
-    for r in ratio_list:
-        atom = Atom(r, 1.0)
-        problem = OptimizationProblem(atom, family, mu_free=mu_free,
-                                      n_starts=n_starts, seed=seed,
-                                      max_evals=max_evals)
-        res = optimize_pulse(problem)
-        ge, gf = atom.gamma_e, atom.gamma_f
-        row = {"ratio": r, "p_max": res.p_max, "t_at_max": res.t_at_max,
-               "converged": res.converged}
-        p = res.params
-        if family in ("gaussian_product", "rising_exp", "decaying_exp"):
-            row.update({"omega1": p["omega1"], "omega2": p["omega2"],
-                        "omega1_over_ge": p["omega1"] / ge,
-                        "omega2_over_gegf": p["omega2"] / (ge + gf)})
-            if "mu" in p:
-                row["mu_ge"] = p["mu"] * ge
-            if "t_shift" in p:
-                row["t_shift"] = p["t_shift"]
-        elif family == "entangled_gaussian":
-            st = build_state(problem, p)
-            row.update({"omega_plus": p["omega_plus"],
-                        "omega_minus": p["omega_minus"],
-                        "omega_plus_over_gf": p["omega_plus"] / gf,
-                        "omega_minus_over_gf2ge": p["omega_minus"] / (gf + 2 * ge),
-                        "mu_ge": p.get("mu", 0.0) * ge,
-                        "two_sigma_t2": 2.0 * st.sigma_t2,
-                        "two_sigma_w2": 2.0 * st.sigma_w2,
-                        "entropy_bits": schmidt_analytic(st).entropy_bits})
-        elif family == "coherent":
-            row.update({"omega1": p["omega1"], "omega2": p["omega2"],
-                        "omega1_over_ge": p["omega1"] / ge,
-                        "omega2_over_gf": p["omega2"] / gf,
-                        "omega_ratio": p["omega2"] / p["omega1"],
-                        "mu_ge": p.get("mu", 0.0) * ge})
-        rows.append(row)
-    return rows

@@ -204,29 +204,106 @@ def test_sensitivity_preset_csv_deterministic_across_jobs(tmp_path, monkeypatch)
     assert len([l for l in texts[0].splitlines() if not l.startswith("#")]) == 5
 
 
+# the keys besides "kind" and "output" that a job of each kind may set
+_JOB_KEYS = {
+    "ratio_sweep": {"family", "ratios", "entropy_output"},
+    "comparison_sweep": {"ratios"},
+    "params_sweep": {"family", "ratios"},
+    "exponential_sweep": {"ratios"},
+    "optimized_curve": {"family", "gamma_ratio", "mu_free"},
+    "sensitivity": {"family", "gamma_ratio", "axis1", "axis2"},
+    "detuning": {"family", "gamma_ratio", "range", "n", "n_fast", "n_starts"},
+    "biphoton_density": {"family", "gamma_ratio"},
+}
+
+
 def test_all_presets_load_and_are_documented():
-    kinds = {"ratio_sweep", "comparison_sweep", "params_sweep",
-             "exponential_sweep", "optimized_curve", "sensitivity",
-             "detuning", "biphoton_density"}
     outputs = set()
     for i in range(1, 13):
         doc = json.loads(_preset_path(f"fig{i}").read_text())
         assert doc["description"]
         assert doc["jobs"]
         for job in doc["jobs"]:
-            assert job["kind"] in kinds
+            assert job["kind"] in _JOB_KEYS
+            assert set(job) - {"kind", "output"} <= _JOB_KEYS[job["kind"]], job
             assert job["output"] not in outputs
             outputs.add(job["output"])
 
 
+def test_unknown_preset_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "fig13", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("tpaopt: error: ")
+    assert "'fig13'" in err
+    assert err.split("is not one of ")[1].split(", ") == [f"fig{i}" for i in range(1, 13)]
+
+
+def test_sweep_has_no_delay_flags():
+    # a ratio sweep always writes both delay policies
+    for flag in ("--mu-free", "--mu-zero"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", flag])
+
+
+def _trim_ratio_presets(tmp_path, monkeypatch, names, ratios):
+    """Serve copies of the named presets whose jobs run on ``ratios`` only."""
+    import tpaopt.cli as cli
+    paths, specs = {}, {}
+    for name in names:
+        spec = json.loads(_preset_path(name).read_text())
+        for job in spec["jobs"]:
+            job["ratios"] = ratios
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(spec))
+        specs[name] = spec
+    monkeypatch.setattr(cli, "_preset_path", paths.__getitem__)
+    return specs
+
+
+def _table(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return lines[0].split(","), [l.split(",") for l in lines[1:]]
+
+
+def test_params_presets_columns(tmp_path, monkeypatch):
+    # fig4 and fig10 on two ratios: one delay-free row per ratio, with the
+    # parameters in linewidth units
+    specs = _trim_ratio_presets(tmp_path, monkeypatch, ("fig4", "fig10"), [0.5, 2.0])
+    expected = {
+        "fig4": {"ratio", "p_max", "t_at_max", "converged", "omega1", "omega2",
+                 "omega1_over_ge", "omega2_over_gegf", "mu_ge"},
+        "fig10": {"ratio", "p_max", "t_at_max", "converged", "omega_plus",
+                  "omega_minus", "omega_plus_over_gf", "omega_minus_over_gf2ge",
+                  "mu_ge", "two_sigma_t2", "two_sigma_w2", "entropy_bits"},
+    }
+    for name, columns in expected.items():
+        out = tmp_path / name
+        assert main(["sweep", "--preset", name, "--out", str(out)]) == 0
+        cols, rows = _table(out / specs[name]["jobs"][0]["output"])
+        assert cols == sorted(columns)
+        assert [float(r[cols.index("ratio")]) for r in rows] == [0.5, 2.0]
+        assert all(r[cols.index("converged")] == "True" for r in rows)
+
+
+def test_ratio_presets_deterministic_across_jobs(tmp_path, monkeypatch):
+    # fig5 and fig11 read their optima from ratio sweeps over the workers
+    specs = _trim_ratio_presets(tmp_path, monkeypatch, ("fig5", "fig11"), [0.5, 2.0])
+    for name, spec in specs.items():
+        texts = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{name}_j{jobs}"
+            assert main(["sweep", "--preset", name, "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            texts.append(strip_timestamp((out / spec["jobs"][0]["output"]).read_text()))
+        assert texts[0] == texts[1]
+        assert len(_table(out / spec["jobs"][0]["output"])[1]) == 2
+
+
 def test_preset_execution_smoke(tmp_path, monkeypatch):
     # run the real preset machinery on a trimmed copy of fig5
-    import tpaopt.cli as cli
-    spec = json.loads(_preset_path("fig5").read_text())
-    spec["jobs"][0]["ratios"] = [1.0]
-    trimmed = tmp_path / "fig5.json"
-    trimmed.write_text(json.dumps(spec))
-    monkeypatch.setattr(cli, "_preset_path", lambda name: trimmed)
+    _trim_ratio_presets(tmp_path, monkeypatch, ("fig5",), [1.0])
     out = tmp_path / "out"
     rc = main(["sweep", "--preset", "fig5", "--out", str(out)])
     assert rc == 0

@@ -8,8 +8,7 @@ import tpaopt.optimize as opt
 from tpaopt import absorption
 from tpaopt.model import Atom
 from tpaopt.optimize import (OptimizationProblem, OptimizationResult,
-                             asymptotic_checks, default_starts, nelder_mead,
-                             optimize_pulse)
+                             default_starts, nelder_mead, optimize_pulse)
 from tpaopt.states import EntangledGaussian, schmidt_analytic
 
 
@@ -333,12 +332,3 @@ def test_parameter_names_and_starts_are_pinned(key):
     assert [list(map(list, s.items())) for s in starts] == pin["starts"]
     assert [list(map(list, opt._decode(problem, opt._encode(problem, s)).items()))
             for s in starts] == pin["decoded"]
-
-
-def test_asymptotic_checks_columns():
-    rows = asymptotic_checks("gaussian_product", [0.5, 2.0], n_starts=3,
-                             max_evals=900)
-    assert len(rows) == 2
-    for row in rows:
-        assert {"ratio", "p_max", "omega1_over_ge", "omega2_over_gegf",
-                "mu_ge", "converged"} <= set(row)
