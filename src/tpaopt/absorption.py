@@ -27,7 +27,7 @@ from scipy.integrate import simpson
 from .model import Atom
 from .numutil import phi1, refine_max
 from .optimal import pmax_bound
-from .quadrature import integrate, gl_panels, subdivide, _gl_nodes as _gl_nodes_cached
+from .quadrature import gl_nodes, gl_panels, integrate, subdivide
 from .states import OptimalState, UnsupportedFamilyError
 
 
@@ -90,7 +90,7 @@ def curve_amplitudes(atom: Atom, state, times, t0=-np.inf):
     edges = _outer_edges(atom, state, lo2, t_hi)
     edges = np.unique(np.concatenate([edges, times[inside]]))
 
-    x, w = _gl_nodes_cached(24)
+    x, w = gl_nodes(24)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     rights = edges[1:]
@@ -324,7 +324,7 @@ def pf_inner_product(atom: Atom, state, t_star, order=32):
         return gl_panels(f, edges1, order=order)
 
     total = 0.0 + 0.0j
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gl_nodes(order)
     for a_, b_ in zip(edges2[:-1], edges2[1:]):
         mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
         nodes = mid + half * x

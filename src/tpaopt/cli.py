@@ -1,9 +1,11 @@
 """Command-line front end: single evaluations, optimizations, sweeps, dumps.
 
 Every output file starts with '#'-prefixed comment headers recording the
-tool version, a hash of the effective configuration, and the tolerances;
-the timestamp line is the only non-reproducible header. Presets (fig1..12)
-are JSON job lists shipped with the package, one per paper figure dataset.
+tool version and the inputs the run read, with a hash of them; the
+timestamp line is the only non-reproducible header. ``_COMMANDS`` declares
+the flags each subcommand reads: its parser accepts those and no others,
+and its headers record those and no others. Presets (fig1..12) are JSON
+job lists shipped with the package, one per paper figure dataset.
 Every per-ratio preset table (fig3, 4, 5, 7, 9, 10, 11) is read from
 `sweeps.ratio_sweep`, so it, like the width and detuning maps, spreads its
 cells over ``--jobs`` workers; the writers here only arrange columns.
@@ -23,9 +25,10 @@ from . import __version__, absorption, coherent, optimal, sweeps
 from .model import Atom
 from .optimize import FAMILIES as OPTIMIZABLE, OptimizationProblem
 from .optimize import build_state, optimize_pulse, search_box
-from .states import (FAMILIES, MissingParameterError, OptimalState,
-                     UnsupportedFamilyError, from_fields)
+from .states import FAMILIES, OptimalState, from_fields
 
+# defaults shared by every subcommand that reads the flag; _COMMANDS holds
+# the ones a subcommand has to itself
 _DEFAULTS = {
     "gamma_ratio": 1.0, "delta1": 0.0, "delta2": 0.0,
     "seed": 0, "jobs": 1, "out": ".", "tol": 1e-9,
@@ -69,18 +72,17 @@ _KEY_ALIASES = {
 }
 
 
-def _effective(args, keys):
-    """Merge precedence: defaults < config file < explicit CLI flags."""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+def _effective(args):
+    """The inputs the subcommand reads, merged as its defaults < config file <
+    explicit flags. Config keys it does not read are dropped, and so are flags
+    that are unset and have no default."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
+    cfg = {**_DEFAULTS, **_COMMANDS[args.cmd][3]}
+    if args.config:
         for k, v in load_config(args.config).items():
             cfg[_KEY_ALIASES.get(k, k)] = v
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            cfg[k] = v
-    cfg = {k: cfg[k] for k in sorted(cfg) if k in keys or k in _DEFAULTS}
-    return cfg
+    cfg.update((k, v) for k, v in flags.items() if v is not None)
+    return {k: cfg[k] for k in sorted(flags) if cfg.get(k) is not None}
 
 
 def _config_hash(cfg):
@@ -99,24 +101,32 @@ def _headers(cfg):
     ]
 
 
+def _input(make, *args):
+    """``make(*args)`` for an input built from the configuration; a value it
+    rejects is a usage error."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _atom_from(cfg):
-    return Atom(cfg["gamma_ratio"], 1.0, cfg.get("delta1", 0.0),
-                cfg.get("delta2", 0.0))
+    return _input(Atom, cfg["gamma_ratio"], 1.0, cfg["delta1"], cfg["delta2"])
 
 
 def _family(cfg, table):
-    """The configured family's tag; UnsupportedFamilyError unless ``table``
-    holds it."""
+    """The configured family's tag; a usage error unless ``table`` holds it."""
     fam = cfg["family"].replace("-", "_")
     if fam not in table:
-        raise UnsupportedFamilyError(
+        raise argparse.ArgumentTypeError(
             f"family {fam!r} is not one of {', '.join(table)}")
     return fam
 
 
 def _state_from_cfg(cfg, atom):
     # the matched state's atom is the configured one
-    return from_fields(FAMILIES[_family(cfg, FAMILIES)], {**cfg, "atom": atom})
+    return _input(from_fields, FAMILIES[_family(cfg, FAMILIES)],
+                  {**cfg, "atom": atom})
 
 
 def _write_table(path, headers, columns, rows):
@@ -132,12 +142,7 @@ def _write_table(path, headers, columns, rows):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_curve(args):
-    keys = ("gamma_ratio", "delta1", "delta2", "family", "omega1", "omega2",
-            "omega_plus", "omega_minus", "mu", "t_shift", "t_star", "t0",
-            "n_times", "out", "tol", "seed")
-    cfg = _effective(args, keys)
-    cfg = {k: v for k, v in cfg.items() if v is not None}
+def cmd_curve(cfg):
     atom = _atom_from(cfg)
     state = _state_from_cfg(cfg, atom)
     curve = absorption.excitation_curve(atom, state, n_times=cfg["n_times"])
@@ -154,10 +159,7 @@ def cmd_curve(args):
     return 0
 
 
-def cmd_optimize(args):
-    keys = ("gamma_ratio", "delta1", "delta2", "family", "mu_free",
-            "n_starts", "n1", "n2", "seed", "out", "tol")
-    cfg = _effective(args, keys)
+def cmd_optimize(cfg):
     atom = _atom_from(cfg)
     fam = _family(cfg, OPTIMIZABLE)
     problem = OptimizationProblem(atom, fam, mu_free=cfg["mu_free"],
@@ -178,16 +180,10 @@ def cmd_optimize(args):
     return 0
 
 
-def cmd_coherent(args):
-    keys = ("gamma_ratio", "delta1", "delta2", "n1", "n2", "omega1", "omega2",
-            "mu", "out", "tol", "seed", "n_times")
-    cfg = _effective(args, keys)
-    cfg.setdefault("omega1", 1.0)
-    cfg.setdefault("omega2", 1.0)
-    cfg = {k: v for k, v in cfg.items() if v is not None}
+def cmd_coherent(cfg):
     atom = _atom_from(cfg)
-    drive = coherent.CoherentDrive(cfg["n1"], cfg["n2"], cfg["omega1"],
-                                   cfg["omega2"], cfg.get("mu", 0.0))
+    drive = _input(coherent.CoherentDrive, cfg["n1"], cfg["n2"], cfg["omega1"],
+                   cfg["omega2"], cfg.get("mu", 0.0))
     window = drive.default_window(atom, n_samples=cfg["n_times"])
     traj = coherent.evolve(atom, drive, window, rtol=min(cfg["tol"] * 10, 1e-8))
     out = Path(cfg["out"])
@@ -198,9 +194,7 @@ def cmd_coherent(args):
     return 0
 
 
-def cmd_reference(args):
-    keys = ("gamma_ratio", "delta1", "delta2", "t_star", "out", "tol", "seed")
-    cfg = _effective(args, keys)
+def cmd_reference(cfg):
     atom = _atom_from(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -253,10 +247,7 @@ def _preset_path(name):
     return path
 
 
-def cmd_sweep(args):
-    keys = ("gamma_ratio", "family", "ratios", "grid", "out",
-            "jobs", "seed", "tol", "fast", "preset")
-    cfg = _effective(args, keys)
+def cmd_sweep(cfg):
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     if cfg.get("preset"):
@@ -433,6 +424,37 @@ def _biphoton_density(job, cfg, heads, out):
         path.write_text("\n".join(lines) + "\n")
 
 
+# the flags each subcommand reads besides --config, with the defaults that
+# are its own: subcommand -> (runner, help, flags, defaults over _DEFAULTS)
+_ATOM = ("gamma_ratio", "delta1", "delta2")
+_COMMANDS = {
+    "curve": (cmd_curve, "excitation-probability curve for one state",
+              (*_ATOM, "out", "family", "omega1", "omega2", "omega_plus",
+               "omega_minus", "mu", "t_shift", "t_star", "t0", "n_times"), {}),
+    "optimize": (cmd_optimize, "maximize p_max over pulse parameters",
+                 (*_ATOM, "out", "seed", "family", "n1", "n2", "mu_free",
+                  "n_starts"), {}),
+    "sweep": (cmd_sweep, "ratio sweeps, sensitivity and detuning maps",
+              ("out", "seed", "jobs", "preset", "family", "ratios", "grid",
+               "fast"), {}),
+    "reference": (cmd_reference, "matched-state reference quantities",
+                  (*_ATOM, "out", "t_star"), {}),
+    "coherent": (cmd_coherent, "master-equation trajectory for coherent pulses",
+                 (*_ATOM, "out", "tol", "n1", "n2", "omega1", "omega2", "mu",
+                  "n_times"), {"omega1": 1.0, "omega2": 1.0}),
+}
+
+# argparse keywords of every flag that does not take one float; each flag is
+# spelled --dest-with-dashes, and mu_free is the --mu-free/--mu-zero pair
+_FLAG_KW = {
+    "config": {"help": "key=value or JSON config file"},
+    "out": {}, "family": {}, "ratios": {}, "preset": {},
+    "seed": {"type": int}, "jobs": {"type": int}, "grid": {"type": int},
+    "n_times": {"type": int}, "n_starts": {"type": int},
+    "fast": {"action": "store_true", "default": None},
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tpaopt",
@@ -440,55 +462,17 @@ def build_parser():
                     "curves, optima, bounds, and sweep datasets.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value or JSON config file")
-    common.add_argument("--gamma-ratio", dest="gamma_ratio", type=float)
-    common.add_argument("--delta1", type=float)
-    common.add_argument("--delta2", type=float)
-    common.add_argument("--out")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--jobs", type=int)
-    common.add_argument("--tol", type=float)
-
-    state_args = argparse.ArgumentParser(add_help=False)
-    state_args.add_argument("--family")
-    for flag in ("omega1", "omega2", "omega-plus", "omega-minus", "mu",
-                 "t-shift", "t-star", "t0", "n1", "n2"):
-        state_args.add_argument(f"--{flag}", dest=flag.replace("-", "_"),
-                                type=float)
-
-    p = sub.add_parser("curve", parents=[common, state_args],
-                       help="excitation-probability curve for one state")
-    p.add_argument("--n-times", dest="n_times", type=int)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("optimize", parents=[common, state_args],
-                       help="maximize p_max over pulse parameters")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--mu-free", dest="mu_free", action="store_true", default=None)
-    g.add_argument("--mu-zero", dest="mu_free", action="store_false")
-    p.add_argument("--n-starts", dest="n_starts", type=int)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="ratio sweeps, sensitivity and detuning maps")
-    p.add_argument("--preset")
-    p.add_argument("--family")
-    p.add_argument("--ratios")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--fast", action="store_true", default=None)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("reference", parents=[common],
-                       help="matched-state reference quantities")
-    p.add_argument("--t-star", dest="t_star", type=float)
-    p.set_defaults(func=cmd_reference)
-
-    p = sub.add_parser("coherent", parents=[common, state_args],
-                       help="master-equation trajectory for coherent pulses")
-    p.add_argument("--n-times", dest="n_times", type=int)
-    p.set_defaults(func=cmd_coherent)
+    for name, (_, text, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest in ("config", *flags):
+            if dest == "mu_free":
+                g = p.add_mutually_exclusive_group()
+                g.add_argument("--mu-free", dest=dest, action="store_true",
+                               default=None)
+                g.add_argument("--mu-zero", dest=dest, action="store_false")
+            else:
+                p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                               **_FLAG_KW.get(dest, {"type": float}))
     return parser
 
 
@@ -496,9 +480,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (UnsupportedFamilyError, MissingParameterError,
-            argparse.ArgumentTypeError) as exc:
+        return _COMMANDS[args.cmd][0](_effective(args))
+    except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
 
 

@@ -40,9 +40,11 @@ class CoherentDrive:
 
     def __post_init__(self):
         if self.n1 < 0 or self.n2 < 0:
-            raise ValueError("mean photon numbers must be >= 0")
+            raise ValueError("mean photon numbers must be >= 0, "
+                             f"got n1={self.n1}, n2={self.n2}")
         if not (self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError("spectral widths must be positive")
+            raise ValueError("spectral widths must be positive, "
+                             f"got omega1={self.omega1}, omega2={self.omega2}")
 
     def envelope1(self, t):
         t = np.asarray(t, dtype=float)

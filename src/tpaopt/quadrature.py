@@ -97,9 +97,10 @@ def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-14, breakpoints=(),
 
 
 @lru_cache(maxsize=32)
-def _gl_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def gl_nodes(order):
+    """Gauss-Legendre nodes and weights on [-1, 1]; the cached arrays are
+    shared by every caller, so none may modify them."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def gl_panels(f, edges, order=24):
@@ -112,7 +113,7 @@ def gl_panels(f, edges, order=24):
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
         return 0.0 + 0.0j
-    x, w = _gl_nodes(order)
+    x, w = gl_nodes(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -27,7 +27,7 @@ from scipy.special import erfcx
 from . import optimal as _optimal
 from .model import Atom, TimeWindow
 from .numutil import phi1
-from .quadrature import integrate
+from .quadrature import gl_nodes, integrate
 
 # Effective-support truncation: amplitude envelopes are cut where they fall
 # below 1e-12 of their peak. For a Gaussian profile of temporal sigma s this
@@ -120,8 +120,10 @@ class _Parametric:
     """Validation, construction and dict form of a family from its fields."""
 
     def __post_init__(self):
-        if not all(getattr(self, n) > 0 for n in width_names(type(self))):
-            raise ValueError("spectral widths must be positive")
+        bad = [f"{n}={getattr(self, n)}" for n in width_names(type(self))
+               if not getattr(self, n) > 0]
+        if bad:
+            raise ValueError(f"spectral widths must be positive, got {', '.join(bad)}")
 
     @classmethod
     def from_dict(cls, d):
@@ -645,7 +647,7 @@ def _graded_axis(lo, hi, n, fine_scale, order=8):
         widths = w0 * r ** np.arange(panels)
         edges = hi - np.concatenate([[0.0], np.cumsum(widths)])[::-1]
         edges[0] = lo
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gl_nodes(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -159,33 +159,28 @@ def sensitivity_map(atom: Atom, family, axis1, axis2, delay_policy="reoptimize",
 # ---------------------------------------------------------------------------
 
 def _detuning_cell(args):
-    family, ratio, d1, d2, mu_free, seed, n_starts, warm = args
+    family, ratio, d1, d2, seed, n_starts, warm = args
     atom = Atom(ratio, 1.0, d1, d2)
-    problem = OptimizationProblem(atom, family, mu_free=mu_free, seed=seed,
+    problem = OptimizationProblem(atom, family, seed=seed,
                                   n_starts=n_starts, max_evals=1200)
-    starts = default_starts(problem)[:max(n_starts - 1, 1)]
-    if warm is not None:
-        starts = [warm] + starts
+    starts = [warm] + default_starts(problem)[:max(n_starts - 1, 1)]
     res = optimize_pulse(problem, starts=starts)
     return {"delta1": d1, "delta2": d2, "p_max": res.p_max,
             "params": res.params, "converged": res.converged}
 
 
 def detuning_map(family, gamma_ratio, delta1_values, delta2_values,
-                 mu_free=True, seed=0, n_starts=4, jobs=1):
-    """p_max with pulse parameters fully re-optimized at fixed detunings.
+                 seed=0, n_starts=4, jobs=1):
+    """p_max with pulse parameters, the delay included, fully re-optimized at
+    fixed detunings.
 
     Every cell is warm-started from the resonant optimum (plus the standard
     heuristic seeds), keeping cells independent so the grid is deterministic
     under any parallel schedule.
     """
-    problem = OptimizationProblem(Atom(gamma_ratio, 1.0), family, mu_free=mu_free,
-                                  seed=seed)
+    problem = OptimizationProblem(Atom(gamma_ratio, 1.0), family, seed=seed)
     resonant = optimize_pulse(problem)
-    # a frozen delay is left out of the warm start
-    names = _param_names(problem)
-    warm = {k: v for k, v in resonant.params.items() if k in names}
-    tasks = [(family, gamma_ratio, d1, d2, mu_free, seed, n_starts, warm)
+    tasks = [(family, gamma_ratio, d1, d2, seed, n_starts, resonant.params)
              for d1 in delta1_values for d2 in delta2_values]
     cells = _run(tasks, _detuning_cell, jobs)
     values = np.array([c["p_max"] for c in cells]).reshape(
@@ -195,7 +190,7 @@ def detuning_map(family, gamma_ratio, delta1_values, delta2_values,
               ("delta2_over_gamma_f", np.asarray(delta2_values, dtype=float))),
         values=values, cells=cells,
         meta={"family": family, "gamma_ratio": gamma_ratio,
-              "mu_free": mu_free, "resonant_p_max": resonant.p_max,
+              "mu_free": True, "resonant_p_max": resonant.p_max,
               "resonant_params": _jsonable(resonant.params), "seed": seed})
 
 

@@ -1,8 +1,13 @@
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tpaopt.absorption as absorption
 import tpaopt.optimize as opt
 from tpaopt.cli import (_preset_path, build_parser, load_config, main,
                         save_config)
@@ -323,3 +328,114 @@ def test_parser_exposes_spec_flags():
     text = parser.format_help()
     for sub in ("curve", "optimize", "sweep", "reference", "coherent"):
         assert sub in text
+
+
+def _subparsers():
+    """Subcommand name -> its parser."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _recorded_config(path):
+    """The ``config:`` header of an output file, as a dict."""
+    if path.suffix == ".json":
+        heads = json.loads(path.read_text())["headers"]
+    else:
+        heads = [l[2:] for l in path.read_text().splitlines() if l.startswith("# ")]
+    return json.loads(next(h for h in heads if h.startswith("config: "))[8:])
+
+
+# every flag of each subcommand but --config, --out and --jobs, set
+_EVERY_FLAG = {
+    "curve": (["curve", "--gamma-ratio", "1", "--delta1", "0.5", "--delta2", "0",
+               "--family", "gaussian_product", "--omega1", "1", "--omega2", "1.5",
+               "--omega-plus", "1", "--omega-minus", "2", "--mu", "0.5",
+               "--t-shift", "0", "--t-star", "0", "--t0", "-1", "--n-times", "20"],
+              "curve.csv"),
+    "optimize": (["optimize", "--gamma-ratio", "1", "--delta1", "0", "--delta2", "0",
+                  "--seed", "0", "--family", "rising_exp", "--n1", "1", "--n2", "1",
+                  "--mu-free", "--n-starts", "1"], "optimize.json"),
+    "sweep": (["sweep", "--seed", "0", "--preset", "fig1", "--family", "rising_exp",
+               "--ratios", "1", "--grid", "2", "--fast"], "fig1_optimal_r5_time.csv"),
+    "reference": (["reference", "--gamma-ratio", "1", "--delta1", "0", "--delta2", "0",
+                   "--t-star", "0"], "reference.json"),
+    "coherent": (["coherent", "--gamma-ratio", "1", "--delta1", "0", "--delta2", "0",
+                  "--tol", "1e-9", "--n1", "1", "--n2", "1", "--omega1", "1",
+                  "--omega2", "1.5", "--mu", "0.5", "--n-times", "21"],
+                 "trajectory.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_FLAG))
+def test_config_header_records_exactly_the_flags_read(tmp_path, name):
+    argv, output = _EVERY_FLAG[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    keys = set(_recorded_config(tmp_path / output))
+    if name == "sweep":  # a preset run adds the preset's own description
+        keys.remove("preset_description")
+    dests = {a.dest for a in _subparsers()[name]._actions}
+    assert keys == dests - {"help", "config", "out", "jobs"}
+
+
+def test_config_file_keys_a_command_does_not_read_are_dropped(tmp_path):
+    cfg_path = tmp_path / "c.cfg"
+    save_config({"gamma_ratio": 2.0, "omega1": 5.0, "tol": 3.0}, str(cfg_path))
+    out = tmp_path / "o"
+    assert main(["reference", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert _recorded_config(out / "reference.json") == {
+        "delta1": 0.0, "delta2": 0.0, "gamma_ratio": 2.0, "t_star": 0.0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--delta1", "1.5"], ["sweep", "--tol", "1e-3"],
+    ["curve", "--seed", "1"], ["optimize", "--omega1", "5"],
+    ["reference", "--jobs", "2"], ["coherent", "--family", "coherent"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["curve", "--family", "gaussian_product", "--omega1", "-1", "--omega2", "1"],
+     "omega1=-1.0"),
+    (["reference", "--gamma-ratio", "0"], "gamma_e=0.0"),
+    (["coherent", "--n1", "-1"], "n1=-1.0"),
+])
+def test_rejected_values_are_usage_errors(tmp_path, capsys, argv, field):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("tpaopt: error: ") and field in err[-1]
+    assert not any("Traceback" in l for l in err)
+
+
+def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    # only the inputs' own checks turn into usage errors
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+    monkeypatch.setattr(absorption, "excitation_curve", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["curve", "--family", "optimal", "--out", str(tmp_path)])
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```bash\n(.*?)```", readme, re.S).group(1)
+    lines = [l.split("#")[0] for l in block.splitlines() if l.startswith("tpaopt")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` \| `(--[^`]*)` \|$", readme, re.M))
+    subparsers = _subparsers()
+    assert set(rows) == set(subparsers)
+    for name, flags in rows.items():
+        options = {o for a in subparsers[name]._actions for o in a.option_strings}
+        assert set(flags.replace("/", " ").split()) == options - {"-h", "--help", "--config"}
