@@ -119,13 +119,13 @@ def _pf_from_amp(atom, amp):
     return atom.gamma_e * atom.gamma_f * np.abs(amp) ** 2
 
 
-def pf_at(atom: Atom, state, t, t0=-np.inf, method="auto", rel_tol=1e-9):
+def pf_at(atom: Atom, state, t, t0=-np.inf, method="auto"):
     """Excitation probability at time t for interaction starting at t0.
 
     method: "fast" (analytic inner + panel outer), "quadrature" (nested
-    adaptive reference), or "auto" (fast whenever t0 lies at or below the
-    state's support, quadrature otherwise); any other value raises
-    ValueError.
+    adaptive reference to 1e-9 relative), or "auto" (fast whenever t0 lies
+    at or below the state's support, quadrature otherwise); any other value
+    raises ValueError.
     """
     if t <= t0:
         return 0.0
@@ -137,7 +137,7 @@ def pf_at(atom: Atom, state, t, t0=-np.inf, method="auto", rel_tol=1e-9):
         amp = curve_amplitudes(atom, state, np.array([t]), t0=t0)[0]
         return float(_pf_from_amp(atom, abs(amp)))
     if method == "quadrature":
-        return _pf_at_quadrature(atom, state, t, t0, rel_tol)
+        return _pf_at_quadrature(atom, state, t, t0, 1e-9)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -190,24 +190,18 @@ class ExcitationCurve:
     p_max: float
     meta: dict = field(default_factory=dict)
 
-    def to_csv(self, path, extra_comments=()):
-        lines = [f"# {c}" for c in extra_comments]
-        for key in ("gamma_e", "gamma_f", "delta1", "delta2", "state"):
-            if key in self.meta:
-                lines.append(f"# {key}: {self.meta[key]}")
-        lines.append("t*gamma_f,P_f")
-        for t, p in zip(self.times, self.probabilities):
-            lines.append(f"{t:.12g},{p:.12g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def excitation_curve(atom: Atom, state, times=None, t0=-np.inf, n_times=200):
-    """Sample P_f over the transient bracket and refine the global maximum."""
+    """Sample P_f over the transient bracket and refine the global maximum.
+
+    A scan of fewer than 2 times cannot bracket the maximum: ValueError.
+    """
     if times is None:
         lo, hi = scan_bounds(atom, state, t0)
         times = np.linspace(lo, hi, n_times)
     times = np.asarray(times, dtype=float)
+    if times.size < 2:
+        raise ValueError(f"a scan needs at least 2 times, got {times.size}")
     t_max, p_max, probs = _max_with_scan(atom, state, times, t0)
     return ExcitationCurve(times, probs, t_max, p_max,
                            meta={"state": state.to_dict(),
@@ -279,10 +273,11 @@ def _max_with_scan(atom, state, times, t0):
     return t_max, p_max, probs
 
 
-def pf_max_over_t(atom: Atom, state, t0=-np.inf, n_scan=200):
-    """Global maximum of P_f over time: coarse scan, then the root of dP/dt."""
+def pf_max_over_t(atom: Atom, state, t0=-np.inf):
+    """Global maximum of P_f over time: coarse scan on 200 times, then the
+    root of dP/dt."""
     lo, hi = scan_bounds(atom, state, t0)
-    times = np.linspace(lo, hi, n_scan)
+    times = np.linspace(lo, hi, 200)
     t_max, p_max, _ = _max_with_scan(atom, state, times, t0)
     return t_max, p_max
 
@@ -291,13 +286,13 @@ def pf_max_over_t(atom: Atom, state, t0=-np.inf, n_scan=200):
 # matched-filter inner product (resonant, t0 -> -inf)
 # ---------------------------------------------------------------------------
 
-def pf_inner_product(atom: Atom, state, t_star, order=32):
+def pf_inner_product(atom: Atom, state, t_star):
     """P_f(t_star) as the squared overlap with the matched weight.
 
     The weight is the amplitude of the atom's matched state
     ``OptimalState(atom, t_star)``, bounded by sqrt(gamma_e*gamma_f). Valid
     at resonance with the interaction starting in the infinite past;
-    evaluated with composite fixed-order Gauss-Legendre panels, a route
+    evaluated with composite 32-point Gauss-Legendre panels, a route
     independent of the adaptive nested quadrature.
     """
     if not atom.resonant:
@@ -321,10 +316,10 @@ def pf_inner_product(atom: Atom, state, t_star, order=32):
             return 0.0 + 0.0j
         edges1 = subdivide(lo1, hi1, h1, extra=state.breakpoints1())
         f = lambda t1: kern(t2, t1) * state.amplitude(t2, t1)
-        return gl_panels(f, edges1, order=order)
+        return gl_panels(f, edges1, order=32)
 
     total = 0.0 + 0.0j
-    x, w = gl_nodes(order)
+    x, w = gl_nodes(32)
     for a_, b_ in zip(edges2[:-1], edges2[1:]):
         mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
         nodes = mid + half * x
@@ -421,8 +416,9 @@ def pf_optimal_closed_form(atom: Atom, t, t_star=0.0, t0=-np.inf):
 # residence time
 # ---------------------------------------------------------------------------
 
-def residence_time(atom: Atom, state, t0=-np.inf, n=4000):
-    """Time integral of P_f: dense sampled curve plus the exact decay tail.
+def residence_time(atom: Atom, state, t0=-np.inf):
+    """Time integral of P_f: Simpson's rule on 4000 times over the support,
+    plus the exact decay tail.
 
     Beyond the amplitude support the probability decays exactly as
     e^{-gamma_f t}, so the tail contributes P(end)/gamma_f.
@@ -430,7 +426,7 @@ def residence_time(atom: Atom, state, t0=-np.inf, n=4000):
     lo, hi_support = scan_bounds(atom, state, t0, pad=0.0)
     if hi_support <= lo:
         return 0.0
-    times = np.linspace(lo, hi_support, n)
+    times = np.linspace(lo, hi_support, 4000)
     amps = curve_amplitudes(atom, state, times, t0=t0)
     probs = _pf_from_amp(atom, np.abs(amps))
     core = float(simpson(probs, x=times))

@@ -1,10 +1,13 @@
 """Command-line front end: single evaluations, optimizations, sweeps, dumps.
 
-Every output file starts with '#'-prefixed comment headers recording the
-tool version and the inputs the run read, with a hash of them; the
-timestamp line is the only non-reproducible header. ``_COMMANDS`` declares
-the flags each subcommand reads: its parser accepts those and no others,
-and its headers record those and no others. Presets (fig1..12) are JSON
+This module writes every output file; the numerical modules only return
+data. Tables go through `_write_table`, JSON documents through
+`_write_json`, and grids through `_write_grid`, built on those two. Every
+table starts with '#'-prefixed comment headers recording the tool version
+and the inputs the run read, with a hash of them; the timestamp line is the
+only non-reproducible header. ``_COMMANDS`` declares the flags each
+subcommand reads: its parser accepts those and no others, and its headers
+record those and no others. Presets (fig1..12) are JSON
 job lists shipped with the package, one per paper figure dataset.
 Every per-ratio preset table (fig3, 4, 5, 7, 9, 10, 11) is read from
 `sweeps.ratio_sweep`, so it, like the width and detuning maps, spreads its
@@ -101,13 +104,21 @@ def _headers(cfg):
     ]
 
 
-def _input(make, *args):
-    """``make(*args)`` for an input built from the configuration; a value it
-    rejects is a usage error."""
+def _input(make, *args, **kwargs):
+    """``make(*args, **kwargs)`` for an input built from the configuration;
+    a value it rejects is a usage error."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _n_times(cfg):
+    """The configured number of sample times; fewer than 2 is a usage error."""
+    n = cfg["n_times"]
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"n_times={n}: a scan needs at least 2 times")
+    return n
 
 
 def _atom_from(cfg):
@@ -130,12 +141,45 @@ def _state_from_cfg(cfg, atom):
 
 
 def _write_table(path, headers, columns, rows):
+    """CSV with '#' headers; floats as .12g, anything else as its str."""
     lines = [f"# {h}" for h in headers]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
                               for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _jsonable(x):
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return [_jsonable(v) for v in x.tolist()]
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    return x
+
+
+def _write_json(path, doc):
+    """``doc`` with numpy scalars and arrays as plain JSON, indented by 2."""
+    Path(path).write_text(json.dumps(_jsonable(doc), indent=2))
+
+
+def _write_grid(path, grid, headers, json_meta=None):
+    """A `sweeps.GridResult` as a long-format table, one row per cell; with
+    ``json_meta`` also as JSON beside it, its meta extended by ``json_meta``."""
+    names, axes = zip(*grid.axes)
+    rows = [[f"{ax[i]}" for ax, i in zip(axes, idx)]
+            + [grid.values[idx], bool(cell["converged"])]
+            for idx, cell in zip(np.ndindex(grid.values.shape), grid.cells)]
+    _write_table(path, headers, [*names, "value", "converged"], rows)
+    if json_meta is not None:
+        _write_json(Path(path).with_suffix(".json"),
+                    {"axes": [{"name": n, "values": v} for n, v in grid.axes],
+                     "values": grid.values, "cells": grid.cells,
+                     "meta": {**grid.meta, **json_meta}})
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +189,7 @@ def _write_table(path, headers, columns, rows):
 def cmd_curve(cfg):
     atom = _atom_from(cfg)
     state = _state_from_cfg(cfg, atom)
-    curve = absorption.excitation_curve(atom, state, n_times=cfg["n_times"])
+    curve = absorption.excitation_curve(atom, state, n_times=_n_times(cfg))
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -162,19 +206,19 @@ def cmd_curve(cfg):
 def cmd_optimize(cfg):
     atom = _atom_from(cfg)
     fam = _family(cfg, OPTIMIZABLE)
-    problem = OptimizationProblem(atom, fam, mu_free=cfg["mu_free"],
-                                  n1=cfg["n1"], n2=cfg["n2"],
-                                  n_starts=cfg["n_starts"], seed=cfg["seed"])
+    problem = _input(OptimizationProblem, atom, fam, mu_free=cfg["mu_free"],
+                     n1=cfg["n1"], n2=cfg["n2"], n_starts=cfg["n_starts"],
+                     seed=cfg["seed"])
     res = optimize_pulse(problem)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     (wlo, whi), (dlo, dhi) = search_box(atom)
     gf = atom.gamma_f
-    doc = {"headers": _headers(cfg), "problem": problem.to_dict(),
-           "search_bounds": {"widths_gamma_f": [wlo / gf, whi / gf],
-                             "delays_gamma_f": [dlo * gf, dhi * gf]},
-           "result": res.to_dict()}
-    (out / "optimize.json").write_text(json.dumps(doc, indent=2, default=float))
+    _write_json(out / "optimize.json",
+                {"headers": _headers(cfg), "problem": problem.to_dict(),
+                 "search_bounds": {"widths_gamma_f": [wlo / gf, whi / gf],
+                                   "delays_gamma_f": [dlo * gf, dhi * gf]},
+                 "result": res.to_dict()})
     print(json.dumps({"params": {k: round(float(v), 6) for k, v in res.params.items()},
                       "p_max": round(res.p_max, 6)}))
     return 0
@@ -184,11 +228,17 @@ def cmd_coherent(cfg):
     atom = _atom_from(cfg)
     drive = _input(coherent.CoherentDrive, cfg["n1"], cfg["n2"], cfg["omega1"],
                    cfg["omega2"], cfg.get("mu", 0.0))
-    window = drive.default_window(atom, n_samples=cfg["n_times"])
+    window = drive.default_window(atom, n_samples=_n_times(cfg))
     traj = coherent.evolve(atom, drive, window, rtol=min(cfg["tol"] * 10, 1e-8))
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    traj.to_csv(out / "trajectory.csv", extra_comments=_headers(cfg))
+    rho = [traj.rho_gg, traj.rho_ee, traj.rho_ff]
+    for off_diagonal in (traj.rho_ge, traj.rho_gf, traj.rho_ef):
+        rho += [off_diagonal.real, off_diagonal.imag]
+    _write_table(out / "trajectory.csv", _headers(cfg),
+                 ["t*gamma_f", "rho_gg", "rho_ee", "rho_ff", "re_rho_ge", "im_rho_ge",
+                  "re_rho_gf", "im_rho_gf", "re_rho_ef", "im_rho_ef"],
+                 zip(traj.times, *rho))
     tm, pm = coherent.pf_max_coherent(atom, drive)
     print(f"p_max = {pm:.9g} at t*gamma_f = {tm:.9g}")
     return 0
@@ -228,8 +278,7 @@ def cmd_reference(cfg):
                "tau1": tau1, "tau2": tau2, "tau2_minus_tau1": tau2 - tau1,
                "residence_time_gamma_f": tau_r * gf,
                "pmax_bound_inf": 1.0}
-    (out / "reference.json").write_text(json.dumps(
-        {"headers": heads, **summary}, indent=2))
+    _write_json(out / "reference.json", {"headers": heads, **summary})
     print(json.dumps({k: round(float(v), 9) for k, v in summary.items()}))
     return 0
 
@@ -254,14 +303,22 @@ def cmd_sweep(cfg):
         spec = json.loads(_preset_path(cfg["preset"]).read_text())
         return _run_preset(spec, cfg, out)
     fam = _family(cfg, OPTIMIZABLE)
-    ratios = cfg.get("ratios") or [0.01, 0.1, 1.0, 10.0, 100.0]
-    if isinstance(ratios, str):
-        ratios = [float(x) for x in ratios.split(",")]
-    grid = sweeps.ratio_sweep(fam, ratios, seed=cfg["seed"], jobs=cfg["jobs"])
-    grid.to_csv(out / "ratio_sweep.csv", extra_comments=_headers(cfg))
-    grid.to_json(out / "ratio_sweep.json", extra_meta={"headers": _headers(cfg)})
+    grid = sweeps.ratio_sweep(fam, _ratios(cfg), seed=cfg["seed"], jobs=cfg["jobs"])
+    heads = _headers(cfg)
+    _write_grid(out / "ratio_sweep.csv", grid, heads, {"headers": heads})
     print(f"wrote {out / 'ratio_sweep.csv'}")
     return 0
+
+
+def _ratios(cfg):
+    """The configured lifetime ratios; one that is not a number or that no
+    atom has is a usage error."""
+    ratios = cfg.get("ratios") or [0.01, 0.1, 1.0, 10.0, 100.0]
+    if isinstance(ratios, str):
+        ratios = [_input(float, x) for x in ratios.split(",")]
+    for r in ratios:
+        _input(Atom, r, 1.0)
+    return ratios
 
 
 def _run_preset(spec, cfg, out):
@@ -272,7 +329,7 @@ def _run_preset(spec, cfg, out):
         if kind == "ratio_sweep":
             grid = sweeps.ratio_sweep(job["family"], job["ratios"],
                                       seed=cfg["seed"], jobs=cfg["jobs"])
-            grid.to_csv(path, extra_comments=heads)
+            _write_grid(path, grid, heads)
             if job.get("entropy_output"):
                 rows = [(c["ratio"], c["entropy_bits"], c["mu_free"])
                         for c in grid.cells]
@@ -293,15 +350,14 @@ def _run_preset(spec, cfg, out):
             ax = np.linspace(*job["axis1"]), np.linspace(*job["axis2"])
             grid = sweeps.sensitivity_map(atom, job["family"], ax[0], ax[1],
                                           seed=cfg["seed"], jobs=cfg["jobs"])
-            grid.to_csv(path, extra_comments=heads)
+            _write_grid(path, grid, heads)
         elif kind == "detuning":
             n = cfg.get("grid") or (job["n_fast"] if cfg.get("fast") else job["n"])
             d = np.linspace(-job["range"], job["range"], n)
             grid = sweeps.detuning_map(job["family"], job["gamma_ratio"], d, d,
                                        seed=cfg["seed"], jobs=cfg["jobs"],
                                        n_starts=job.get("n_starts", 4))
-            grid.to_csv(path, extra_comments=heads)
-            grid.to_json(path.with_suffix(".json"))
+            _write_grid(path, grid, heads, {})
         elif kind == "biphoton_density":
             _biphoton_density(job, cfg, heads, out)
         else:
@@ -372,16 +428,10 @@ def _optimized_curve(job, cfg, heads, path):
                                   seed=cfg["seed"])
     res = optimize_pulse(problem)
     pulse = build_state(problem, res.params)
-    if problem.family == "coherent":
-        traj = coherent.evolve(atom, pulse)
-        rows = [(float(t), float(p), float(pulse.envelope1(t) ** 2),
-                 float(pulse.envelope2(t) ** 2))
-                for t, p in zip(traj.times, traj.rho_ff)]
-    else:
-        curve = absorption.excitation_curve(atom, pulse)
-        p1, p2 = pulse.marginal_densities()
-        rows = [(float(t), float(p), float(p1(t)), float(p2(t)))
-                for t, p in zip(curve.times, curve.probabilities)]
+    curve = absorption.excitation_curve(atom, pulse)
+    p1, p2 = pulse.marginal_densities()
+    rows = [(float(t), float(p), float(p1(t)), float(p2(t)))
+            for t, p in zip(curve.times, curve.probabilities)]
     _write_table(path, heads + [f"params: {json.dumps(res.params, default=float)}",
                                 f"p_max: {res.p_max:.12g}"],
                  ["t*gamma_f", "P_f_or_rho_ff", "profile1_sq", "profile2_sq"], rows)
@@ -415,13 +465,10 @@ def _biphoton_density(job, cfg, heads, out):
         dens_w = (ge * gf / (4 * np.pi**2)) / (
             (o1**2 + ge**2 / 4) * ((o1 + o2) ** 2 + gf**2 / 4))
     for tag, grid_ax, dens in (("time", t, dens_t), ("freq", om_grid, dens_w)):
-        path = out / job["output"].replace(".csv", f"_{tag}.csv")
-        lines = [f"# {h}" for h in heads]
-        lines.append("axis1,axis2,density")
-        for i, a in enumerate(grid_ax):
-            for j, b in enumerate(grid_ax):
-                lines.append(f"{a:.10g},{b:.10g},{dens[i, j]:.10g}")
-        path.write_text("\n".join(lines) + "\n")
+        _write_table(out / job["output"].replace(".csv", f"_{tag}.csv"), heads,
+                     ["axis1", "axis2", "density"],
+                     [(f"{a:.10g}", f"{b:.10g}", f"{dens[i, j]:.10g}")
+                      for i, a in enumerate(grid_ax) for j, b in enumerate(grid_ax)])
 
 
 # the flags each subcommand reads besides --config, with the defaults that

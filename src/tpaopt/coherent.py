@@ -189,20 +189,6 @@ class DensityTrajectory:
         rho[:, 1, 2] = self.rho_ef; rho[:, 2, 1] = np.conj(self.rho_ef)
         return rho
 
-    def to_csv(self, path, extra_comments=()):
-        lines = [f"# {c}" for c in extra_comments]
-        lines.append("t*gamma_f,rho_gg,rho_ee,rho_ff,re_rho_ge,im_rho_ge,"
-                     "re_rho_gf,im_rho_gf,re_rho_ef,im_rho_ef")
-        for i, t in enumerate(self.times):
-            lines.append(",".join(
-                f"{v:.12g}" for v in (
-                    t, self.rho_gg[i], self.rho_ee[i], self.rho_ff[i],
-                    self.rho_ge[i].real, self.rho_ge[i].imag,
-                    self.rho_gf[i].real, self.rho_gf[i].imag,
-                    self.rho_ef[i].real, self.rho_ef[i].imag)))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def evolve(atom: Atom, drive: CoherentDrive, window: TimeWindow | None = None,
            rtol=1e-8, atol=1e-10):
@@ -367,13 +353,13 @@ def _dormand_prince(generators, t0, t1, rtol, atol, derivatives=None):
             None if derivatives is None else _Steps(ts, np.array(ss), np.array(sqs)))
 
 
-def pf_max_coherent(atom: Atom, drive: CoherentDrive, window=None,
-                    rtol=1e-8, atol=1e-10, n_scan=1200, gradient=False):
-    """Maximum of the final-state population over the window.
+def pf_max_coherent(atom: Atom, drive: CoherentDrive, rtol=1e-8, atol=1e-10,
+                    gradient=False):
+    """Maximum of the final-state population over the drive's default window.
 
     The master equation is stepped once by `_dormand_prince` (solve_ivp's
     RK45 step control, so rtol/atol mean the same as for `evolve`); rho_ff
-    is scanned on n_scan points of its dense output and the maximum refined
+    is scanned on 1200 points of its dense output and the maximum refined
     by `refine_max` at the root of the slope d rho_ff/dt, row 2 of M(t) y.
     Returns (t_max, p_max), and with ``gradient`` also d p_max/d theta for
     theta = (omega1, omega2, mu): the slope vanishes at the maximum, so this
@@ -381,12 +367,11 @@ def pf_max_coherent(atom: Atom, drive: CoherentDrive, window=None,
     dense output of the stepper's forward sensitivities at the slope's root.
     (t_max, p_max) are the same bit for bit with or without it.
     """
-    if window is None:
-        window = drive.default_window(atom)
+    window = drive.default_window(atom)
     generators = _generators(atom, drive)
     steps, sens = _dormand_prince(generators, window.t_start, window.t_end, rtol, atol,
                                   _generator_derivatives(atom, drive) if gradient else None)
-    ts = np.linspace(window.t_start, window.t_end, n_scan)
+    ts = np.linspace(window.t_start, window.t_end, 1200)
     pf = steps(ts, slice(2, 3))[:, 0]
     i = int(np.argmax(pf))
     win = slice(max(i - 1, 0), i + 2)

@@ -23,7 +23,6 @@ optimizer, and it stays in this module because perfbench's
 `optimize.nelder_mead` span patches it here.
 """
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -65,6 +64,11 @@ class OptimizationProblem:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; "
                              f"choose from {', '.join(FAMILIES)}")
+        if self.n1 < 0 or self.n2 < 0:
+            raise ValueError("mean photon numbers must be >= 0, "
+                             f"got n1={self.n1}, n2={self.n2}")
+        if self.n_starts < 1:
+            raise ValueError(f"n_starts={self.n_starts}: a search needs at least one start")
 
     def to_dict(self):
         return asdict(self)
@@ -87,10 +91,6 @@ class OptimizationResult:
                 "converged": self.converged,
                 "stationarity": self.stationarity,
                 "starts": self.starts, "skipped_starts": self.skipped_starts}
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 def nelder_mead(f, x0, steps, diam_tol=1e-5, spread_tol=1e-9, max_evals=2000):

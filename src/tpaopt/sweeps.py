@@ -5,9 +5,8 @@ in advance (family heuristics plus the resonant-cell optimum), so results
 are bitwise independent of evaluation order and worker count.
 """
 
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,49 +17,14 @@ from .optimize import (OptimizationProblem, _encode, _encoded_box, _objective,
 from .states import schmidt_analytic
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
-
-
 @dataclass(frozen=True)
 class GridResult:
     """Scalar results on a (1- or 2-axis) grid with per-cell metadata."""
 
     axes: tuple
     values: np.ndarray
-    cells: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def to_csv(self, path, extra_comments=()):
-        lines = [f"# {c}" for c in extra_comments]
-        names = [a[0] for a in self.axes]
-        lines.append(",".join(names + ["value", "converged"]))
-        it = np.ndindex(self.values.shape)
-        for idx in it:
-            coords = [self.axes[d][1][idx[d]] for d in range(len(self.axes))]
-            cell = self.cells[np.ravel_multi_index(idx, self.values.shape)] if self.cells else {}
-            conv = cell.get("converged", True)
-            lines.append(",".join(
-                [f"{c}" for c in coords]
-                + [f"{self.values[idx]:.12g}", str(bool(conv))]))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def to_json(self, path, extra_meta=None):
-        doc = {"axes": [{"name": n, "values": _jsonable(list(v))} for n, v in self.axes],
-               "values": _jsonable(self.values),
-               "cells": _jsonable(self.cells),
-               "meta": _jsonable({**self.meta, **(extra_meta or {})})}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
+    cells: list  # one dict per value, in the values' C order
+    meta: dict
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +66,13 @@ def ratio_sweep(family, ratios, delay_policies=("mu_free", "mu_zero"),
 # ---------------------------------------------------------------------------
 
 def _sensitivity_cell(args):
-    family, ratio, w1, w2, policy, mu_frozen = args
+    family, ratio, w1, w2, mu_frozen = args
     atom = Atom(ratio, 1.0)
     problem = OptimizationProblem(atom, family, mu_free=True)
     names = _param_names(problem)  # the two widths, then the delay
 
-    if policy == "frozen" or len(names) < 3:  # without a delay, nothing to climb
-        state = build_state(problem, dict(zip(names, (w1, w2, mu_frozen))))
+    if len(names) < 3:  # without a delay, nothing to climb
+        state = build_state(problem, dict(zip(names, (w1, w2))))
         return {"p_max": max_over_time(problem, state)[1], "mu": mu_frozen,
                 "converged": True}
     # re-optimize the delay at fixed widths: climb its coordinate alone
@@ -129,19 +93,15 @@ def _sensitivity_cell(args):
     return {"p_max": best[0], "mu": best[1], "converged": best[2]}
 
 
-def sensitivity_map(atom: Atom, family, axis1, axis2, delay_policy="reoptimize",
-                    seed=0, jobs=1):
-    """p_max over a width x width grid with the delay re-optimized or frozen.
-
-    The frozen policy pins the delay at the global optimum's value; the
-    default policy re-optimizes it in every cell.
-    """
+def sensitivity_map(atom: Atom, family, axis1, axis2, seed=0, jobs=1):
+    """p_max over a width x width grid with the delay re-optimized in every
+    cell, climbing from the global optimum's delay among others."""
     ratio = atom.gamma_e / atom.gamma_f
     problem = OptimizationProblem(atom, family, mu_free=True, seed=seed)
     base = optimize_pulse(problem)
     n1, n2, *delay = _param_names(problem)
     mu_opt = base.params[delay[0]] if delay else 0.0
-    tasks = [(family, ratio, w1, w2, delay_policy, mu_opt)
+    tasks = [(family, ratio, w1, w2, mu_opt)
              for w1 in axis1 for w2 in axis2]
     cells = _run(tasks, _sensitivity_cell, jobs)
     values = np.array([c["p_max"] for c in cells]).reshape(len(axis1), len(axis2))
@@ -149,8 +109,7 @@ def sensitivity_map(atom: Atom, family, axis1, axis2, delay_policy="reoptimize",
         axes=((n1, np.asarray(axis1, dtype=float)),
               (n2, np.asarray(axis2, dtype=float))),
         values=values, cells=cells,
-        meta={"family": family, "delay_policy": delay_policy,
-              "global_optimum": _jsonable(base.params),
+        meta={"family": family, "global_optimum": base.params,
               "global_p_max": base.p_max, "seed": seed})
 
 
@@ -191,7 +150,7 @@ def detuning_map(family, gamma_ratio, delta1_values, delta2_values,
         values=values, cells=cells,
         meta={"family": family, "gamma_ratio": gamma_ratio,
               "mu_free": True, "resonant_p_max": resonant.p_max,
-              "resonant_params": _jsonable(resonant.params), "seed": seed})
+              "resonant_params": resonant.params, "seed": seed})
 
 
 def _run(tasks, fn, jobs):

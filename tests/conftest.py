@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from tpaopt.absorption import _pf_at_quadrature
 from tpaopt.coherent import lindblad_rhs
 from tpaopt.model import Atom
 from tpaopt.numutil import refine_max
@@ -79,6 +80,12 @@ def pf_compact(atom, state, t, t0=-np.inf, rel_tol=1e-9):
     o = integrate(outer, lo2, hi2, rel_tol=rel_tol,
                   breakpoints=tuple(state.breakpoints2()) + tuple(state.breakpoints1()))
     return float(ge * gf * math.exp(-gf * t) * abs(o) ** 2)
+
+
+def pf_quadrature(atom, state, t, rel_tol):
+    """`pf_at`'s reference route (nested adaptive quadrature, t0 = -inf) at
+    a tolerance tighter than the 1e-9 that `pf_at` uses."""
+    return _pf_at_quadrature(atom, state, t, -np.inf, rel_tol)
 
 
 def rk4_fixed_step(rhs, y0, t0, t1, dt):

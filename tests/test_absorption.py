@@ -10,7 +10,8 @@ from tpaopt.optimal import pmax_bound
 from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, OptimalState, RisingExpProduct,
                            UnsupportedFamilyError)
-from conftest import pf_brute_force, pf_compact, random_atom, random_state
+from conftest import (pf_brute_force, pf_compact, pf_quadrature, random_atom,
+                      random_state)
 
 
 class TestPfAt:
@@ -57,7 +58,7 @@ class TestPfAt:
             st = random_state(rng)
             lo, hi = ab.scan_bounds(atom, st)
             t = rng.uniform(lo + 0.2 * (hi - lo), hi)
-            pq = ab.pf_at(atom, st, t, method="quadrature", rel_tol=1e-11)
+            pq = pf_quadrature(atom, st, t, 1e-11)
             pf = ab.pf_at(atom, st, t, method="fast")
             assert pf == pytest.approx(pq, rel=1e-9, abs=1e-11)
 
@@ -68,7 +69,7 @@ class TestPfAt:
             st = random_state(rng, "gaussian_product")
             lo, hi = ab.scan_bounds(atom, st)
             t = rng.uniform(lo + 0.3 * (hi - lo), lo + 0.8 * (hi - lo))
-            a = ab.pf_at(atom, st, t, method="quadrature", rel_tol=1e-12)
+            a = pf_quadrature(atom, st, t, 1e-12)
             b = pf_compact(atom, st, t, rel_tol=1e-12)
             assert b == pytest.approx(a, rel=1e-10, abs=1e-13)
 
@@ -155,7 +156,7 @@ class TestInnerProduct:
             st = random_state(rng)
             lo, hi = ab.scan_bounds(atom, st)
             t = rng.uniform(lo + 0.3 * (hi - lo), hi)
-            a = ab.pf_at(atom, st, t, method="quadrature", rel_tol=1e-10)
+            a = pf_quadrature(atom, st, t, 1e-10)
             b = ab.pf_inner_product(atom, st, t)
             assert b == pytest.approx(a, abs=1e-8)
 
@@ -288,7 +289,7 @@ class TestClosedForms:
             lo, hi = ab.scan_bounds(atom, st)
             t = rng.uniform(lo + 0.3 * (hi - lo), hi)
             closed = ab.pf_rising_closed_form(atom, om1, om2, t)
-            quad = ab.pf_at(atom, st, t, method="quadrature", rel_tol=1e-11)
+            quad = pf_quadrature(atom, st, t, 1e-11)
             assert closed == pytest.approx(quad, abs=1e-8)
 
     def test_decaying_zero_before_start(self):
@@ -308,7 +309,7 @@ class TestClosedForms:
             lo, hi = ab.scan_bounds(atom, st)
             t = rng.uniform(max(ts, 0.0) + 0.1, hi)
             closed = ab.pf_decaying_closed_form(atom, om1, om2, ts, t)
-            quad = ab.pf_at(atom, st, t, method="quadrature", rel_tol=1e-11)
+            quad = pf_quadrature(atom, st, t, 1e-11)
             assert closed == pytest.approx(quad, abs=1e-8)
 
     def test_decaying_second_pulse_first_reference_routes(self):
@@ -338,7 +339,7 @@ class TestClosedForms:
         st = DecayingExpProduct(om1, om2, ts)
         for t in (0.8, 2.0, 5.0):
             closed = ab.pf_decaying_closed_form(atom, om1, om2, ts, t)
-            quad = ab.pf_at(atom, st, t, method="quadrature", rel_tol=1e-11)
+            quad = pf_quadrature(atom, st, t, 1e-11)
             assert closed == pytest.approx(quad, abs=1e-8)
 
     def test_optimal_closed_form_curve(self):
@@ -406,7 +407,7 @@ class TestResidenceTime:
         # the spectral ceiling of the matched-filter Gram operator is
         # 4/gamma_f and is never exceeded
         atom = Atom(1.0, 1.0)
-        tau = ab.residence_time(atom, EntangledGaussian(0.05, 2.0, 1.0), n=8000)
+        tau = ab.residence_time(atom, EntangledGaussian(0.05, 2.0, 1.0))
         assert tau > 2.0 / atom.gamma_f
         assert tau <= 4.0 / atom.gamma_f + 1e-3
 
@@ -425,18 +426,15 @@ class TestExcitationCurve:
         assert curve.p_max >= np.max(curve.probabilities) - 1e-12
         assert curve.meta["state"]["family"] == "gaussian_product"
 
-    def test_csv_export(self, tmp_path):
+    @pytest.mark.parametrize("n_times", [0, 1])
+    def test_scan_of_fewer_than_two_times_rejected(self, n_times):
+        # one time cannot bracket the maximum: the matched state's maximum is
+        # 1 at t* = 0, and a one-time scan would report the window start
         atom = Atom(1.0, 1.0)
-        curve = ab.excitation_curve(atom, RisingExpProduct(0.5, 1.5),
-                                    n_times=50)
-        path = tmp_path / "c.csv"
-        curve.to_csv(path, extra_comments=("demo",))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# demo"
-        assert any(l.startswith("# state:") for l in lines)
-        data = [l for l in lines if not l.startswith("#")]
-        assert data[0] == "t*gamma_f,P_f"
-        assert len(data) == 51
+        with pytest.raises(ValueError, match="at least 2 times"):
+            ab.excitation_curve(atom, OptimalState(atom, 0.0), n_times=n_times)
+        with pytest.raises(ValueError, match="at least 2 times"):
+            ab.excitation_curve(atom, OptimalState(atom, 0.0), times=[0.0][:n_times])
 
 
 @pytest.mark.parametrize("family", ["gaussian_product", "entangled_gaussian",

@@ -23,7 +23,7 @@ from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, OptimalState, RisingExpProduct,
                            schmidt_analytic, schmidt_numeric)
 from tpaopt.sweeps import detuning_map
-from conftest import random_state, strip_timestamp
+from conftest import pf_quadrature, random_state, strip_timestamp
 
 
 def verdict(num, ok, text):
@@ -279,7 +279,7 @@ def test_criterion_11_oracle_equivalence():
         st = random_state(rng)
         lo, hi = ab.scan_bounds(atom, st)
         t = float(rng.uniform(lo + 0.3 * (hi - lo), hi))
-        a = ab.pf_at(atom, st, t, method="quadrature", rel_tol=1e-10)
+        a = pf_quadrature(atom, st, t, 1e-10)
         b = ab.pf_inner_product(atom, st, t)
         worst_ip = max(worst_ip, abs(a - b))
     worst_cf = 0.0
@@ -299,7 +299,7 @@ def test_criterion_11_oracle_equivalence():
             lo, hi = ab.scan_bounds(atom, st)
             t = float(rng.uniform(max(ts, 0.0) + 0.1, hi))
             closed = ab.pf_decaying_closed_form(atom, om1, om2, ts, t)
-        quad = ab.pf_at(atom, st, t, method="quadrature", rel_tol=1e-11)
+        quad = pf_quadrature(atom, st, t, 1e-11)
         worst_cf = max(worst_cf, abs(closed - quad))
     ok = worst_ip < 1e-8 and worst_cf < 1e-8
     assert verdict(11, ok, f"inner-product vs quadrature on 50 draws "

@@ -402,6 +402,13 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
      "omega1=-1.0"),
     (["reference", "--gamma-ratio", "0"], "gamma_e=0.0"),
     (["coherent", "--n1", "-1"], "n1=-1.0"),
+    (["optimize", "--family", "coherent", "--n1", "-1"], "n1=-1.0"),
+    (["optimize", "--n-starts", "0"], "n_starts=0"),
+    (["coherent", "--n-times", "0"], "n_times=0"),
+    (["curve", "--family", "optimal", "--n-times", "0"], "n_times=0"),
+    (["curve", "--family", "optimal", "--n-times", "1"], "n_times=1"),
+    (["sweep", "--ratios", "abc"], "'abc'"),
+    (["sweep", "--family", "rising_exp", "--ratios", "1,0"], "gamma_e=0.0"),
 ])
 def test_rejected_values_are_usage_errors(tmp_path, capsys, argv, field):
     with pytest.raises(SystemExit) as exc:
@@ -439,3 +446,12 @@ def test_readme_flag_table_matches_parser():
     for name, flags in rows.items():
         options = {o for a in subparsers[name]._actions for o in a.option_strings}
         assert set(flags.replace("/", " ").split()) == options - {"-h", "--help", "--config"}
+
+
+def test_only_cli_writes_files():
+    # the numerical modules return data; cli alone decides every file's format
+    src = Path(__file__).parents[1] / "src" / "tpaopt"
+    writers = {p.name for p in src.glob("*.py")
+               if any(w in p.read_text() for w in
+                      ("open(", ".write_text(", "json.dump", "import json"))}
+    assert writers == {"cli.py"}

@@ -6,6 +6,7 @@ import pytest
 from tpaopt.coherent import (CoherentDrive, DensityTrajectory,
                              IntegrationError, _dormand_prince, _generators,
                              evolve, lindblad_rhs, pf_max_coherent)
+from tpaopt.cli import main
 from tpaopt.model import Atom, TimeWindow
 from conftest import pf_max_coherent_reference, rk4_fixed_step
 
@@ -202,11 +203,19 @@ def test_integration_failure_surfaces(monkeypatch):
 
 
 def test_trajectory_csv(tmp_path):
-    traj = evolve(Atom(1.0, 1.0), CoherentDrive(1.0, 1.0, 1.0, 1.0),
-                  TimeWindow(-8.0, 8.0, 33))
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path, extra_comments=("hello",))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# hello"
-    assert lines[1].startswith("t*gamma_f,rho_gg")
-    assert len(lines) == 35
+    # tpaopt coherent writes evolve's trajectory on the drive's default window
+    assert main(["coherent", "--gamma-ratio", "1", "--n1", "1", "--n2", "1",
+                 "--omega1", "1", "--omega2", "1", "--n-times", "33",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert lines[0].startswith("# tpaopt ")
+    data = [l for l in lines if not l.startswith("#")]
+    assert data[0].startswith("t*gamma_f,rho_gg")
+    assert len(data) == 34
+    atom, drive = Atom(1.0, 1.0), CoherentDrive(1.0, 1.0, 1.0, 1.0)
+    traj = evolve(atom, drive, drive.default_window(atom, 33))
+    rows = np.array([[float(v) for v in l.split(",")] for l in data[1:]])
+    assert np.allclose(rows[:, 0], traj.times, rtol=1e-11, atol=0)
+    assert np.allclose(rows[:, 3], traj.rho_ff, rtol=1e-11, atol=1e-15)
+    assert np.allclose(rows[:, 8] + 1j * rows[:, 9], traj.rho_ef,
+                       rtol=1e-11, atol=1e-15)

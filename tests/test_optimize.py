@@ -132,13 +132,10 @@ def test_determinism_for_fixed_seed():
     assert r1.p_max == r2.p_max
 
 
-def test_result_serialization(tmp_path):
+def test_result_serialization():
     atom = Atom(1.0, 1.0)
     res = optimize_pulse(OptimizationProblem(atom, "rising_exp", n_starts=2))
-    path = tmp_path / "res.json"
-    res.to_json(path)
-    import json
-    doc = json.loads(path.read_text())
+    doc = res.to_dict()
     assert doc["p_max"] == pytest.approx(res.p_max)
     assert doc["converged"] is True
     assert doc["skipped_starts"] == []  # with two starts both always run

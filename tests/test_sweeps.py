@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tpaopt.cli import _write_grid
 from tpaopt.model import Atom
 from tpaopt.optimize import (OptimizationProblem, _param_names, build_state,
                              max_over_time, nelder_mead, optimize_pulse)
@@ -32,19 +33,24 @@ def test_sensitivity_global_optimum_cell():
                                               mu_free=True))
     w1 = [base.params["omega1"] * 0.8, base.params["omega1"]]
     w2 = [base.params["omega2"], base.params["omega2"] * 1.2]
-    grid = sensitivity_map(atom, "gaussian_product", w1, w2,
-                           delay_policy="reoptimize")
+    grid = sensitivity_map(atom, "gaussian_product", w1, w2)
     assert grid.values[1, 0] == pytest.approx(base.p_max, abs=1e-6)
     assert np.all(grid.values <= base.p_max + 1e-9)
 
 
 def test_sensitivity_frozen_policy_never_beats_reoptimized():
+    # the delay frozen at the global optimum's value is one point of each
+    # cell's climb, so re-optimizing it never does worse
     atom = Atom(0.5, 1.0)
     w1 = [0.6, 1.0]
     w2 = [1.0, 1.6]
-    re = sensitivity_map(atom, "gaussian_product", w1, w2, "reoptimize")
-    fr = sensitivity_map(atom, "gaussian_product", w1, w2, "frozen")
-    assert np.all(re.values >= fr.values - 1e-6)
+    re = sensitivity_map(atom, "gaussian_product", w1, w2)
+    problem = OptimizationProblem(atom, "gaussian_product")
+    mu = re.meta["global_optimum"]["mu"]
+    fr = [[max_over_time(problem, build_state(
+               problem, {"omega1": a, "omega2": b, "mu": mu}))[1] for b in w2]
+          for a in w1]
+    assert np.all(re.values >= np.array(fr) - 1e-6)
 
 
 def test_detuning_resonant_cell_matches_direct_optimum():
@@ -117,15 +123,19 @@ def test_grid_exports(tmp_path):
                        n_starts=2)
     csv_path = tmp_path / "g.csv"
     json_path = tmp_path / "g.json"
-    grid.to_csv(csv_path, extra_comments=("meta",))
-    grid.to_json(json_path, extra_meta={"note": "x"})
+    _write_grid(csv_path, grid, ("meta",))
+    assert not json_path.exists()  # without json_meta, the table alone
+    _write_grid(csv_path, grid, ("meta",), {"note": "x"})
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "# meta"
     assert lines[1] == "gamma_e_over_gamma_f,delay_policy,value,converged"
     assert len(lines) == 4
+    assert lines[2].split(",")[:2] == ["0.5", "mu_free"]
     doc = json.loads(json_path.read_text())
     assert doc["meta"]["note"] == "x"
+    assert doc["meta"]["family"] == "rising_exp"
     assert np.asarray(doc["values"]).shape == (2, 1)
+    assert doc["axes"][0] == {"name": "gamma_e_over_gamma_f", "values": [0.5, 2.0]}
 
 
 def test_sensitivity_reoptimizes_the_decaying_shift():
@@ -162,6 +172,6 @@ def _simplex_delay(family, ratio, w1, w2, mu_frozen):
     ("decaying_exp", 1.0, 0.9, 1.3, 0.5),
 ])
 def test_sensitivity_delay_climb_reaches_simplex(family, ratio, w1, w2, mu_frozen):
-    cell = _sensitivity_cell((family, ratio, w1, w2, "reoptimize", mu_frozen))
+    cell = _sensitivity_cell((family, ratio, w1, w2, mu_frozen))
     assert cell["converged"]
     assert cell["p_max"] >= _simplex_delay(family, ratio, w1, w2, mu_frozen) * (1.0 - 1e-9)
