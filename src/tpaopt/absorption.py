@@ -19,7 +19,7 @@ algebraic derivations and serve as mutual cross-checks.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.integrate import simpson
@@ -27,8 +27,8 @@ from scipy.integrate import simpson
 from .model import Atom
 from .numutil import phi1, refine_max
 from .optimal import pmax_bound
-from .quadrature import gl_nodes, gl_panels, integrate, subdivide
-from .states import OptimalState, UnsupportedFamilyError
+from .quadrature import gl_nodes, gl_panels, integrate, panel_nodes, subdivide
+from .states import OptimalState, UnsupportedFamilyError, delay_field
 
 
 class NotResonantError(ValueError):
@@ -90,12 +90,8 @@ def curve_amplitudes(atom: Atom, state, times, t0=-np.inf):
     edges = _outer_edges(atom, state, lo2, t_hi)
     edges = np.unique(np.concatenate([edges, times[inside]]))
 
-    x, w = gl_nodes(24)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    rights = edges[1:]
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = (np.exp(c2 * (nodes - rights[:, None]))
+    nodes, half, w = panel_nodes(edges)
+    vals = (np.exp(c2 * (nodes - edges[1:, None]))
             * decayed_inner(atom, state, nodes.ravel()).reshape(nodes.shape))
     panel = half * (vals @ w)
 
@@ -273,13 +269,51 @@ def _max_with_scan(atom, state, times, t0):
     return t_max, p_max, probs
 
 
-def pf_max_over_t(atom: Atom, state, t0=-np.inf):
+def pf_max_over_t(atom: Atom, state, t0=-np.inf, gradient=False):
     """Global maximum of P_f over time: coarse scan on 200 times, then the
-    root of dP/dt."""
+    root of dP/dt.
+
+    Returns (t_max, p_max), and with ``gradient`` also d p_max/d(field) for
+    the state's fields in order (widths, then the delay): the slope vanishes
+    at the maximum, so this is dP_f/d(field) at fixed t_max (envelope
+    theorem), from `_field_gradient`. (t_max, p_max) are the same bit for
+    bit with or without it.
+    """
     lo, hi = scan_bounds(atom, state, t0)
     times = np.linspace(lo, hi, 200)
     t_max, p_max, _ = _max_with_scan(atom, state, times, t0)
-    return t_max, p_max
+    if not gradient:
+        return t_max, p_max
+    return t_max, p_max, _field_gradient(atom, state, t_max, t0)
+
+
+def _field_gradient(atom, state, t, t0):
+    """dP_f(t)/d(field) at fixed t from one panel pass of the state's
+    `inner_derivatives`.
+
+    With O(t) = int_{lo2}^{min(t, hi2)} e^{c2 (t2 - t)} G(t2) dt2 and
+    P_f = ge gf |O|^2, dP_f = 2 ge gf Re(conj(O) dO), where dO integrates dG
+    with the same weights, each of modulus <= 1, over the outer panels of
+    the fast route. The delay shifts the second pulse's support, so where
+    that support's start is the lower limit, the delay's row gains the
+    Leibniz term -e^{c2 (lo2 - t)} G(lo2+). Only the decaying family starts
+    sharply there; the other support ends, which also move with the widths,
+    are cut where the amplitude is below 1e-12 of its peak.
+    """
+    c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
+    start, hi2 = state.support2()
+    lo2 = max(start, t0)
+    t_hi = min(t, hi2)
+    if t_hi <= lo2:
+        return np.zeros(len(fields(state)))
+    nodes, half, w = panel_nodes(_outer_edges(atom, state, lo2, t_hi))
+    g, dg = state.inner_derivatives(atom, np.append(nodes.ravel(), lo2))
+    weight = np.exp(c2 * (nodes - t))
+    amp = (weight * g[:-1].reshape(nodes.shape)) @ w @ half
+    damp = (weight * dg[:, :-1].reshape(-1, *nodes.shape)) @ w @ half
+    if start >= t0 and delay_field(type(state)):
+        damp[-1] -= np.exp(c2 * (lo2 - t)) * g[-1]
+    return 2.0 * atom.gamma_e * atom.gamma_f * np.real(np.conj(amp) * damp)
 
 
 # ---------------------------------------------------------------------------

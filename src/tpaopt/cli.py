@@ -4,8 +4,9 @@ This module writes every output file; the numerical modules only return
 data. Tables go through `_write_table`, JSON documents through
 `_write_json`, and grids through `_write_grid`, built on those two. Every
 table starts with '#'-prefixed comment headers recording the tool version
-and the inputs the run read, with a hash of them; the timestamp line is the
-only non-reproducible header. ``_COMMANDS`` declares the flags each
+and the inputs the run read, with a hash of them, and every JSON document
+carries the same lines as its top-level ``headers``; the timestamp line is
+the only non-reproducible header. ``_COMMANDS`` declares the flags each
 subcommand reads: its parser accepts those and no others, and its headers
 record those and no others. Presets (fig1..12) are JSON
 job lists shipped with the package, one per paper figure dataset.
@@ -167,19 +168,19 @@ def _write_json(path, doc):
     Path(path).write_text(json.dumps(_jsonable(doc), indent=2))
 
 
-def _write_grid(path, grid, headers, json_meta=None):
+def _write_grid(path, grid, headers, with_json=False):
     """A `sweeps.GridResult` as a long-format table, one row per cell; with
-    ``json_meta`` also as JSON beside it, its meta extended by ``json_meta``."""
+    ``with_json`` also as JSON beside it, carrying the same headers."""
     names, axes = zip(*grid.axes)
     rows = [[f"{ax[i]}" for ax, i in zip(axes, idx)]
             + [grid.values[idx], bool(cell["converged"])]
             for idx, cell in zip(np.ndindex(grid.values.shape), grid.cells)]
     _write_table(path, headers, [*names, "value", "converged"], rows)
-    if json_meta is not None:
+    if with_json:
         _write_json(Path(path).with_suffix(".json"),
-                    {"axes": [{"name": n, "values": v} for n, v in grid.axes],
-                     "values": grid.values, "cells": grid.cells,
-                     "meta": {**grid.meta, **json_meta}})
+                    {"headers": headers,
+                     "axes": [{"name": n, "values": v} for n, v in grid.axes],
+                     "values": grid.values, "cells": grid.cells, "meta": grid.meta})
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,7 @@ def cmd_sweep(cfg):
     fam = _family(cfg, OPTIMIZABLE)
     grid = sweeps.ratio_sweep(fam, _ratios(cfg), seed=cfg["seed"], jobs=cfg["jobs"])
     heads = _headers(cfg)
-    _write_grid(out / "ratio_sweep.csv", grid, heads, {"headers": heads})
+    _write_grid(out / "ratio_sweep.csv", grid, heads, with_json=True)
     print(f"wrote {out / 'ratio_sweep.csv'}")
     return 0
 
@@ -357,7 +358,7 @@ def _run_preset(spec, cfg, out):
             grid = sweeps.detuning_map(job["family"], job["gamma_ratio"], d, d,
                                        seed=cfg["seed"], jobs=cfg["jobs"],
                                        n_starts=job.get("n_starts", 4))
-            _write_grid(path, grid, heads, {})
+            _write_grid(path, grid, heads, with_json=True)
         elif kind == "biphoton_density":
             _biphoton_density(job, cfg, heads, out)
         else:
@@ -434,7 +435,7 @@ def _optimized_curve(job, cfg, heads, path):
             for t, p in zip(curve.times, curve.probabilities)]
     _write_table(path, heads + [f"params: {json.dumps(res.params, default=float)}",
                                 f"p_max: {res.p_max:.12g}"],
-                 ["t*gamma_f", "P_f_or_rho_ff", "profile1_sq", "profile2_sq"], rows)
+                 ["t*gamma_f", "P_f", "profile1_sq", "profile2_sq"], rows)
 
 
 def _biphoton_density(job, cfg, heads, out):

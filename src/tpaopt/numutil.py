@@ -1,5 +1,7 @@
 """Small numerical helpers shared across modules."""
 
+import math
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -23,6 +25,18 @@ def phi1(z):
     else:
         out[~small] = np.expm1(zb) / zb
     return out[0] if scalar else out
+
+
+# Taylor coefficients 1/(k! (k+2)) of phi1'; at |z| < 0.5 the first omitted
+# term is below 2e-18
+_DPHI1_TAYLOR = 1.0 / np.array([math.factorial(k) * (k + 2) for k in range(16)])
+
+
+def dphi1(z):
+    """Evaluate phi1'(z) = int_0^1 s e^{zs} ds by its Taylor series, for
+    |z| < 0.5 only, where the closed form (e^z (z - 1) + 1)/z^2 cancels;
+    real or complex scalars or arrays."""
+    return np.polynomial.polynomial.polyval(z, _DPHI1_TAYLOR)
 
 
 def refine_max(times, values, slopes, trial, xtol):

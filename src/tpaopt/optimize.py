@@ -6,10 +6,11 @@ deterministic set of multistart seeds spans the atomic linewidth scales.
 Every family climbs with bounded L-BFGS-B (`lbfgs_trust`) on a gradient
 from the envelope theorem: the time maximum t* has zero time slope, so the
 gradient of p_max is the parameter derivative of P_f at fixed t*. For the
-two-photon families it is taken by central differences of the fast route;
-for coherent drives it is the dense output of the DP5 stepper's forward
-sensitivities. `_objective` returns the gradient with p_max and t*, so
-every search, the 1-D delay climb of `sweeps` included, runs on it. Each
+two-photon families it comes from one panel pass of the inner integral's
+closed-form field derivatives (`absorption.pf_max_over_t`); for coherent
+drives it is the dense output of the DP5 stepper's forward sensitivities.
+`_objective` returns the gradient with p_max and t*, so every search, the
+1-D delay climb of `sweeps` included, runs on it. Each
 run is confined to a trust box around its centre and re-centred while it
 stops on an inner face of that box. The starts run in order until two of
 them agree to 1e-9; ties between the starts that ran are broken toward the
@@ -178,10 +179,9 @@ def lbfgs_trust(fg, x0, lo, hi, radius, max_evals):
     n_evals = 0
     while True:
         tlo, thi = np.maximum(ulo, u - 2.0), np.minimum(uhi, u + 2.0)
-        # gtol (on the scaled gradient) sits above the difference quotients'
-        # noise (a few 1e-8 at delay steps of 1e-6), below which the line
-        # search fails instead; both stops leave p_max within about 1e-11
-        # relative of the optimum
+        # gtol is on the scaled gradient, where the coherent gradient's noise
+        # at the default coherent_rtol comes close to it; both stops leave
+        # p_max within about 1e-11 relative of the optimum
         res = minimize(fg_scaled, u, jac=True, method="L-BFGS-B",
                        bounds=list(zip(tlo, thi)),
                        options={"maxfun": max(max_evals - n_evals, 1),
@@ -230,13 +230,13 @@ def build_state(problem, params):
 
 def max_over_time(problem, obj, gradient=False):
     """(t_at_max, p_max) of a built state or drive; coherent drives are
-    integrated to the problem's ``coherent_rtol`` (atol = rtol / 100), and
-    with ``gradient`` a drive's d p_max / d(omega1, omega2, mu) comes third."""
+    integrated to the problem's ``coherent_rtol`` (atol = rtol / 100). With
+    ``gradient``, d p_max/d(widths, delay) comes third, in field order."""
     if problem.family == "coherent":
         return coherent.pf_max_coherent(problem.atom, obj, rtol=problem.coherent_rtol,
                                         atol=problem.coherent_rtol * 1e-2,
                                         gradient=gradient)
-    return absorption.pf_max_over_t(problem.atom, obj)
+    return absorption.pf_max_over_t(problem.atom, obj, gradient=gradient)
 
 
 def search_box(atom):
@@ -257,8 +257,9 @@ def _encoded_box(problem):
 
 
 def _scales(problem):
-    """Step scale per encoded coordinate: 1 in a log width, and in a delay
-    the larger of half the intermediate and a tenth of the final lifetime."""
+    """Length scale per encoded coordinate, half a trust radius: 1 in a log
+    width, and in a delay the larger of half the intermediate and a tenth of
+    the final lifetime."""
     delay = max(0.5 / problem.atom.gamma_e, 0.1 / problem.atom.gamma_f)
     return np.array([1.0 if _is_width(n) else delay for n in _param_names(problem)])
 
@@ -269,40 +270,21 @@ def _objective(problem):
 
     At the refined maximum t* the time slope of P_f is zero, so (envelope
     theorem) the gradient of p_max(x) = P_f(t*(x), x) is the partial
-    derivative of P_f at fixed t*. A two-photon family takes it by central
-    differences of the fast route, with steps clipped to the search box; a
-    coherent drive takes it from the stepper's sensitivities.
+    derivative of P_f at fixed t*, which `max_over_time` returns per field.
     """
-    lo, hi = _encoded_box(problem)
-    steps = 1e-5 * _scales(problem)
     names = _param_names(problem)
     cache = {}
-
-    def pf(x, t):
-        state = build_state(problem, _decode(problem, x))
-        return absorption.pf_at(problem.atom, state, t, method="fast")
 
     def evaluate(x):
         key = tuple(np.round(x, 12))
         if key in cache:
             return cache[key]
         params = _decode(problem, x)
-        state = build_state(problem, params)
-        if problem.family == "coherent":
-            tm, pm, grad = max_over_time(problem, state, gradient=True)
-            # names are (omega1, omega2[, mu]), the order of grad; a log
-            # width takes the chain factor omega
-            chain = np.array([params[n] if _is_width(n) else 1.0 for n in names])
-            grad = grad[:len(names)] * chain
-        else:
-            tm, pm = max_over_time(problem, state)
-            grad = np.empty(x.size)
-            for i, h in enumerate(steps):
-                up, down = x.copy(), x.copy()
-                up[i] = min(x[i] + h, hi[i])
-                down[i] = max(x[i] - h, lo[i])
-                grad[i] = (pf(up, tm) - pf(down, tm)) / (up[i] - down[i])
-        cache[key] = (-pm, tm, -grad)
+        tm, pm, grad = max_over_time(problem, build_state(problem, params), gradient=True)
+        # names are the widths, then a free delay: the order of grad, whose
+        # frozen delay is dropped; a log width takes the chain factor omega
+        chain = np.array([params[n] if _is_width(n) else 1.0 for n in names])
+        cache[key] = (-pm, tm, -grad[:len(names)] * chain)
         return cache[key]
 
     return evaluate

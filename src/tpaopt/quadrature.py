@@ -103,6 +103,16 @@ def gl_nodes(order):
     return np.polynomial.legendre.leggauss(order)
 
 
+def panel_nodes(edges, order=24):
+    """Gauss-Legendre nodes on the panels [edges[i], edges[i+1]], one row
+    per panel, with the panels' half widths and the weights on [-1, 1]: a
+    panel's integral of f is half * (f(nodes) @ w)."""
+    x, w = gl_nodes(order)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * x[None, :], half, w
+
+
 def gl_panels(f, edges, order=24):
     """Fixed-order Gauss-Legendre over consecutive [edges[i], edges[i+1]].
 
@@ -113,11 +123,8 @@ def gl_panels(f, edges, order=24):
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
         return 0.0 + 0.0j
-    x, w = gl_nodes(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = np.asarray(f(nodes)).reshape(mid.size, x.size)
+    nodes, half, w = panel_nodes(edges, order)
+    vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
     return np.sum(half * (vals @ w))
 
 

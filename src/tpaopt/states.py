@@ -5,10 +5,14 @@ knows about it: its tag ``family``, its joint temporal amplitude
 ``amplitude(t2, t1)`` (zero outside support), an effective truncated
 support per axis, the analytic inner integral ``decayed_inner`` of the fast
 absorption route with the time scales that size its panels, the per-photon
-marginal densities, and its dict form. ``FAMILIES`` maps each tag to its
-class. A family is built from its fields by name (`from_fields`); the
-spectral widths are the fields named ``omega*``, and the delay, where a
-family has one, is the other field with a default (`delay_field`).
+marginal densities, and its dict form. The four optimizable families also
+give ``inner_derivatives(atom, t2)``: the inner integral G and dG/d(field),
+one row per field in field order, from one kernel pass; their delay shifts
+the second photon's support without changing its length. ``FAMILIES`` maps
+each tag to its class. A family is built from its fields by name
+(`from_fields`); the spectral widths are the fields named ``omega*``, and
+the delay, where a family has one, is the other field with a default
+(`delay_field`).
 Entanglement is quantified through the Schmidt coefficients, either from
 the closed form (entangled Gaussian) or by singular value decomposition of
 the discretized amplitude.
@@ -26,7 +30,7 @@ from scipy.special import erfcx
 
 from . import optimal as _optimal
 from .model import Atom, TimeWindow
-from .numutil import phi1
+from .numutil import dphi1, phi1
 from .quadrature import gl_nodes, integrate
 
 # Effective-support truncation: amplitude envelopes are cut where they fall
@@ -93,12 +97,12 @@ def from_fields(cls, values):
 # the driving atom, with t2 a float array.
 # ---------------------------------------------------------------------------
 
-def _gauss_inner_kernel(X, om, ge, d1):
-    """int_{-inf}^{X} exp(i d1 x - ge (X - x)/2) exp(-om^2 x^2 / 4) dx.
+def _gauss_inner_kernel(X, om, ge, d1, derivatives=False):
+    """K = int_{-inf}^{X} exp(i d1 x - ge (X - x)/2) exp(-om^2 x^2 / 4) dx.
 
     Stable for arbitrarily large ge/om through the scaled complementary
     error function; branch chosen so every exponent has nonpositive real
-    part.
+    part. With ``derivatives``, returns (K, dK/d om, dK/dX).
     """
     X = np.asarray(X, dtype=float)
     z = 0.5 * ge + 1j * d1
@@ -113,7 +117,13 @@ def _gauss_inner_kernel(X, om, ge, d1):
         Xu = X[~safe]
         out[~safe] = (2.0 * np.exp(-0.5 * ge * Xu + z * z / om**2)
                       - lead[~safe] * erfcx(w[~safe]))
-    return (math.sqrt(math.pi) / om) * out
+    k = (math.sqrt(math.pi) / om) * out
+    if not derivatives:
+        return k
+    # d erfcx(u)/du = 2u erfcx(u) - 2/sqrt(pi) (DLMF 7.10) turns dK/d om
+    # into K and the integrand's end value `lead`, on either branch
+    dk_om = ((2.0 * z / om**2 + X) * lead - (1.0 + 2.0 * z * z / om**2) * k) / om
+    return k, dk_om, lead - 0.5 * ge * k
 
 
 class _Parametric:
@@ -192,6 +202,16 @@ class GaussianProduct(_Product):
         pref = (self.omega1**2 / (2 * np.pi)) ** 0.25
         return self.profile2(t2) * pref * _gauss_inner_kernel(
             t2, self.omega1, atom.gamma_e, atom.delta1)
+
+    def inner_derivatives(self, atom, t2):
+        front = self.profile2(t2) * (self.omega1**2 / (2 * np.pi)) ** 0.25
+        k, dk, _ = _gauss_inner_kernel(t2, self.omega1, atom.gamma_e, atom.delta1,
+                                       derivatives=True)
+        g = front * k
+        s = t2 - self.mu
+        return g, np.stack([0.5 * g / self.omega1 + front * dk,
+                            g * (0.5 / self.omega2 - 0.5 * self.omega2 * s**2),
+                            g * (0.5 * self.omega2**2 * s)])
 
     def t2_scale(self):
         return 1.0 / self.omega2
@@ -272,6 +292,29 @@ class EntangledGaussian(_Parametric):
             -(tau**2) * op2 * om2 / (2.0 * (op2 + om2)))
         return env * np.exp(1j * d1 * m) * _gauss_inner_kernel(t2 - m, q, ge, d1)
 
+    def inner_derivatives(self, atom, t2):
+        # G = h K(X; q) with h = env e^{i d1 m}, X = t2 - m and m = kappa tau:
+        # the chain rule through the envelope, q, kappa and m
+        ge, d1 = atom.gamma_e, atom.delta1
+        op, om = self.omega_plus, self.omega_minus
+        op2, om2 = op**2, om**2
+        s = op2 + om2
+        q, kappa = self._ridge()
+        tau = t2 - self.mu
+        m = kappa * tau
+        h = math.sqrt(op * om / (2 * np.pi)) * np.exp(
+            -(tau**2) * op2 * om2 / (2.0 * s) + 1j * d1 * m)
+        k, dk_q, dk_x = _gauss_inner_kernel(t2 - m, q, ge, d1, derivatives=True)
+        g = h * k
+        # per field: d ln(env), dm, dq
+        rows = ((0.5 / op - tau**2 * op * om2**2 / s**2, -4.0 * op * om2 / s**2 * tau,
+                 0.5 * op / q),
+                (0.5 / om - tau**2 * om * op2**2 / s**2, 4.0 * om * op2 / s**2 * tau,
+                 0.5 * om / q),
+                (tau * op2 * om2 / s, -kappa, 0.0))
+        return g, np.stack([g * (dlog + 1j * d1 * dm) + h * (dq * dk_q - dm * dk_x)
+                            for dlog, dm, dq in rows])
+
     def t1_scale(self):
         return math.sqrt(self.sigma_t2)
 
@@ -336,6 +379,12 @@ class RisingExpProduct(_Product):
             math.sqrt(self.omega1) * np.exp(-0.5 * ge * np.maximum(t2, 0.0)) / pole)
         return self.profile2(t2) * g1
 
+    def inner_derivatives(self, atom, t2):
+        g = self.decayed_inner(atom, t2)  # zero past t2 = 0
+        pole = 1j * atom.delta1 + 0.5 * (atom.gamma_e + self.omega1)
+        return g, np.stack([g * (0.5 / self.omega1 + 0.5 * t2 - 0.5 / pole),
+                            g * (0.5 / self.omega2 + 0.5 * t2)])
+
     def t2_scale(self):
         return 2.0 / self.omega2
 
@@ -383,18 +432,41 @@ class DecayingExpProduct(_Product):
             m2 += 1.0 - math.exp(-self.omega2 * (window.t_start - self.t_shift))
         return m1 + m2
 
-    def decayed_inner(self, atom, t2):
+    def _inner_terms(self, atom, t2, derivative):
+        """g1 = e^{-ge t/2} int_0^t e^{a tau} dtau at t = max(t2, 0), and
+        with ``derivative`` also h = e^{-ge t/2} int_0^t tau e^{a tau} dtau
+        = -2 dg1/d omega1, from one split at |a t| = 0.5 and one set of
+        exponentials."""
         ge, d1 = atom.gamma_e, atom.delta1
         a = 1j * d1 + 0.5 * (ge - self.omega1)
         tpos = np.maximum(t2, 0.0)
         small = np.abs(a * tpos) < 0.5
+        ts, tb = tpos[small], tpos[~small]
+        decay = np.exp(-0.5 * ge * ts)
+        rot, far = np.exp((1j * d1 - 0.5 * self.omega1) * tb), np.exp(-0.5 * ge * tb)
         g1 = np.empty(tpos.shape, dtype=complex)
-        g1[small] = (np.exp(-0.5 * ge * tpos[small]) * tpos[small]
-                     * phi1(a * tpos[small]))
-        tb = tpos[~small]
-        g1[~small] = (np.exp((1j * d1 - 0.5 * self.omega1) * tb)
-                      - np.exp(-0.5 * ge * tb)) / a
+        g1[small] = decay * ts * phi1(a * ts)
+        g1[~small] = (rot - far) / a
+        if not derivative:
+            return g1, None
+        h = np.empty(tpos.shape, dtype=complex)
+        h[small] = decay * ts**2 * dphi1(a * ts)
+        h[~small] = (rot * (a * tb - 1.0) + far) / a**2
+        return g1, h
+
+    def decayed_inner(self, atom, t2):
+        g1, _ = self._inner_terms(atom, t2, derivative=False)
         return self.profile2(t2) * math.sqrt(self.omega1) * np.where(t2 >= 0, g1, 0.0)
+
+    def inner_derivatives(self, atom, t2):
+        g1, h = self._inner_terms(atom, t2, derivative=True)
+        pre = self.profile2(t2) * math.sqrt(self.omega1)
+        g = pre * np.where(t2 >= 0, g1, 0.0)
+        s = t2 - self.t_shift
+        return g, np.stack([
+            0.5 * g / self.omega1 - 0.5 * pre * np.where(t2 >= 0, h, 0.0),
+            g * (0.5 / self.omega2 - 0.5 * s),
+            g * (0.5 * self.omega2)])
 
     def t2_scale(self):
         return 2.0 / self.omega2

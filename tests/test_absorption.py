@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -199,6 +200,70 @@ class TestMaxOverT:
             st = OptimalState(atom, 0.0, -h)
             _, pm = ab.pf_max_over_t(atom, st, t0=-h)
             assert pm == pytest.approx(pmax_bound(atom, h), abs=1e-4)
+
+
+def _gradient_cases(rng, n=200):
+    """n seeded (atom, state) pairs, the four optimizable families in turn,
+    every other pair resonant, plus pinned cases: an entangled pair at
+    kappa = 0 up to rounding, and decaying pairs whose second pulse starts
+    before and after the first."""
+    families = ("gaussian_product", "entangled_gaussian", "rising_exp", "decaying_exp")
+    cases = [(random_atom(rng, resonant=i % 8 < 4), random_state(rng, families[i % 4]))
+             for i in range(n)]
+    return cases + [(Atom(2.0, 1.0, 0.5, -0.3), EntangledGaussian(1.3, 1.3 * (1 + 1e-12), 0.4)),
+                    (Atom(0.5, 1.0), DecayingExpProduct(1.5, 0.8, -0.7)),
+                    (Atom(3.0, 1.0, -0.4, 0.6), DecayingExpProduct(0.9, 1.3, 1.5))]
+
+
+class TestFieldGradient:
+    """d p_max/d(field) of `pf_max_over_t` against central differences of
+    the fast route at fixed t*."""
+
+    def test_matches_difference_quotients(self, rng):
+        hit = {"unsafe_erfcx": 0, "safe_erfcx": 0, "shift_negative": 0,
+               "shift_positive": 0, "kappa_zero": 0}
+        worst = 0.0
+        for atom, st in _gradient_cases(rng):
+            t, p, grad = ab.pf_max_over_t(atom, st, gradient=True)
+            assert (t, p) == ab.pf_max_over_t(atom, st)  # bit for bit
+            names = [f.name for f in dataclasses.fields(st)]
+            assert grad.shape == (len(names),)
+            for name, g in zip(names, grad):
+                v = getattr(st, name)
+                h = 1e-5 * (v if name.startswith("omega") else 1.0)
+                up, down = (ab.pf_at(atom, dataclasses.replace(st, **{name: v + s}), t,
+                                     method="fast") for s in (h, -h))
+                ref = (up - down) / (2.0 * h)
+                if abs(ref) > 1e-3:
+                    worst = max(worst, abs(g - ref) / abs(ref))
+                    assert g == pytest.approx(ref, rel=1e-6), (atom, st, name)
+            if isinstance(st, GaussianProduct):
+                # the kernel's erfcx branch flips at t2 = ge/omega1^2
+                split = atom.gamma_e / st.omega1**2
+                hit["unsafe_erfcx"] += min(t, st.support2()[1]) > split
+                hit["safe_erfcx"] += st.support2()[0] < split
+            if isinstance(st, DecayingExpProduct):
+                hit["shift_negative"] += st.t_shift < 0
+                hit["shift_positive"] += st.t_shift > 0
+            if isinstance(st, EntangledGaussian):
+                hit["kappa_zero"] += abs(st._ridge()[1]) < 1e-9
+        assert all(hit.values()), hit
+        assert worst < 1e-6
+
+    def test_decaying_gradient_is_continuous_at_zero_shift(self):
+        # at t_shift = 0 the second derivative in t_shift jumps, so central
+        # quotients are off by O(h) there; the two one-sided limits agree
+        atom = Atom(1.0, 1.0)
+        t, _, grad = ab.pf_max_over_t(atom, DecayingExpProduct(0.9, 1.3, 0.0), gradient=True)
+        for shift in (-1e-8, 1e-8):
+            side = ab._field_gradient(atom, DecayingExpProduct(0.9, 1.3, shift), t, -np.inf)
+            assert side == pytest.approx(grad, rel=1e-7)
+
+    def test_states_outside_the_second_pulse_have_zero_gradient(self):
+        atom = Atom(1.0, 1.0)
+        st = DecayingExpProduct(1.0, 1.0, 2.0)
+        grad = ab._field_gradient(atom, st, 1.0, -np.inf)
+        assert np.array_equal(grad, np.zeros(3))
 
 
 def _dense_max(atom, st, t0, n=20001, levels=3):

@@ -377,6 +377,43 @@ def test_config_header_records_exactly_the_flags_read(tmp_path, name):
     assert keys == dests - {"help", "config", "out", "jobs"}
 
 
+def _serve_first_jobs(tmp_path, monkeypatch, jobs):
+    """Serve copies of the presets named in ``jobs`` that hold their first
+    job alone, its keys updated from ``jobs[name]``."""
+    import tpaopt.cli as cli
+    paths = {}
+    for name, keys in jobs.items():
+        spec = json.loads(_preset_path(name).read_text())
+        spec["jobs"] = [{**spec["jobs"][0], **keys}]
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(spec))
+    monkeypatch.setattr(cli, "_preset_path", paths.__getitem__)
+
+
+@pytest.mark.parametrize("argv, output, recorded", [
+    (["sweep", "--family", "rising_exp", "--ratios", "1"], "ratio_sweep",
+     {"family": "rising_exp", "ratios": "1"}),
+    (["sweep", "--preset", "fig3"], "fig3_gaussian_ratio_sweep", {"preset": "fig3"}),
+    (["sweep", "--preset", "fig12", "--grid", "3"], "fig12_detuning_product_r0.5",
+     {"preset": "fig12", "grid": 3}),
+])
+def test_grid_json_carries_the_table_headers(tmp_path, monkeypatch, argv, output, recorded):
+    # a grid's JSON holds the '#' headers of its table at the top level
+    _serve_first_jobs(tmp_path, monkeypatch, {"fig3": {"ratios": [1.0]}, "fig12": {}})
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    table = out / f"{output}.csv"
+    config = _recorded_config(table)
+    assert recorded.items() <= config.items()
+    heads = [l[2:] for l in table.read_text().splitlines() if l.startswith("# ")]
+    doc = out / f"{output}.json"
+    if "fig3" in argv:  # a preset's ratio sweep writes its table alone
+        assert not doc.exists()
+    else:
+        assert json.loads(doc.read_text())["headers"] == heads
+        assert _recorded_config(doc) == config
+
+
 def test_config_file_keys_a_command_does_not_read_are_dropped(tmp_path):
     cfg_path = tmp_path / "c.cfg"
     save_config({"gamma_ratio": 2.0, "omega1": 5.0, "tol": 3.0}, str(cfg_path))

@@ -124,15 +124,15 @@ def test_grid_exports(tmp_path):
     csv_path = tmp_path / "g.csv"
     json_path = tmp_path / "g.json"
     _write_grid(csv_path, grid, ("meta",))
-    assert not json_path.exists()  # without json_meta, the table alone
-    _write_grid(csv_path, grid, ("meta",), {"note": "x"})
+    assert not json_path.exists()  # without with_json, the table alone
+    _write_grid(csv_path, grid, ("meta",), with_json=True)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "# meta"
     assert lines[1] == "gamma_e_over_gamma_f,delay_policy,value,converged"
     assert len(lines) == 4
     assert lines[2].split(",")[:2] == ["0.5", "mu_free"]
     doc = json.loads(json_path.read_text())
-    assert doc["meta"]["note"] == "x"
+    assert doc["headers"] == ["meta"]
     assert doc["meta"]["family"] == "rising_exp"
     assert np.asarray(doc["values"]).shape == (2, 1)
     assert doc["axes"][0] == {"name": "gamma_e_over_gamma_f", "values": [0.5, 2.0]}
