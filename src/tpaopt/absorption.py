@@ -13,6 +13,12 @@ routes are provided:
   integral over Gauss-Legendre panels, sized by the family's time scales,
   with per-step exponential rebalancing.
 
+On both routes the interaction starts in the infinite past; a state that
+starts at a finite time carries that start in its own support, as the
+truncated matched state ``OptimalState(atom, t_star, t0)`` does. The scan,
+the time-maximum refiner and the field gradient all take the inner integral
+through `decayed_inner`.
+
 The fast route is validated against the reference route to 1e-9 in the test
 suite; closed-form expressions for the exponential families follow their own
 algebraic derivations and serve as mutual cross-checks.
@@ -27,7 +33,7 @@ from scipy.integrate import simpson
 from .model import Atom
 from .numutil import phi1, refine_max
 from .optimal import pmax_bound
-from .quadrature import gl_nodes, gl_panels, integrate, panel_nodes, subdivide
+from .quadrature import gl_panels, integrate, panel_nodes, subdivide
 from .states import OptimalState, UnsupportedFamilyError, delay_field
 
 
@@ -35,26 +41,25 @@ class NotResonantError(ValueError):
     """Operation requires delta1 = delta2 = 0."""
 
 
-def decayed_inner(atom: Atom, state, t2):
+def decayed_inner(atom: Atom, state, t2, derivatives=False):
     """Analytic inner integral G(t2), from the state family's own
     ``decayed_inner``: G(T2) = int_{tau <= T2} e^{i d1 tau - ge (T2-tau)/2}
-    psi(T2, tau) for the driving atom."""
+    psi(T2, tau) for the driving atom. With ``derivatives`` returns
+    (G, dG/d(field)), one row per field in field order. A state without the
+    inner integral, or without the derivatives asked for (only the
+    optimizable families have them), raises UnsupportedFamilyError."""
     inner = getattr(state, "decayed_inner", None)
     if inner is None:
         raise UnsupportedFamilyError(
             f"no analytic inner integral for {type(state).__name__}")
-    return inner(atom, np.asarray(t2, dtype=float))
+    return inner(atom, np.asarray(t2, dtype=float), derivatives)
 
 
-def scan_bounds(atom: Atom, state, t0=-np.inf, pad=None):
+def scan_bounds(atom: Atom, state, pad=None):
     """Bracket [lo, hi] containing the whole excitation transient."""
-    lo = max(state.support1()[0], state.support2()[0], t0)
+    lo = max(state.support1()[0], state.support2()[0])
     hi = state.support2()[1] + (10.0 / atom.gamma_f if pad is None else pad)
     return lo, hi
-
-
-def _fast_path_valid(state, t0):
-    return t0 <= min(state.support1()[0], state.support2()[0])
 
 
 def _outer_breakpoints(state):
@@ -70,7 +75,7 @@ def _outer_edges(atom: Atom, state, lo, hi):
     return subdivide(lo, hi, h_max, extra=_outer_breakpoints(state))
 
 
-def curve_amplitudes(atom: Atom, state, times, t0=-np.inf):
+def curve_amplitudes(atom: Atom, state, times):
     """Outer complex amplitudes O(t_k); P_f(t_k) = ge*gf*|O(t_k)|^2.
 
     ``times`` must be ascending. Panel integrals are anchored at their right
@@ -80,8 +85,7 @@ def curve_amplitudes(atom: Atom, state, times, t0=-np.inf):
     """
     c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
     times = np.asarray(times, dtype=float)
-    lo2 = max(state.support2()[0], t0)
-    hi2 = state.support2()[1]
+    lo2, hi2 = state.support2()
     out = np.zeros(times.size, dtype=complex)
     t_hi = min(times[-1], hi2)
     if t_hi <= lo2:
@@ -115,31 +119,24 @@ def _pf_from_amp(atom, amp):
     return atom.gamma_e * atom.gamma_f * np.abs(amp) ** 2
 
 
-def pf_at(atom: Atom, state, t, t0=-np.inf, method="auto"):
-    """Excitation probability at time t for interaction starting at t0.
+def pf_at(atom: Atom, state, t, method="fast"):
+    """Excitation probability at time t, the interaction starting in the
+    infinite past.
 
-    method: "fast" (analytic inner + panel outer), "quadrature" (nested
-    adaptive reference to 1e-9 relative), or "auto" (fast whenever t0 lies
-    at or below the state's support, quadrature otherwise); any other value
-    raises ValueError.
+    method: "fast" (analytic inner + panel outer) or "quadrature" (nested
+    adaptive reference to 1e-9 relative); any other value raises ValueError.
     """
-    if t <= t0:
-        return 0.0
-    if method == "auto":
-        method = "fast" if _fast_path_valid(state, t0) else "quadrature"
     if method == "fast":
-        if not _fast_path_valid(state, t0):
-            raise ValueError("fast path requires t0 at or below the state support")
-        amp = curve_amplitudes(atom, state, np.array([t]), t0=t0)[0]
+        amp = curve_amplitudes(atom, state, np.array([t]))[0]
         return float(_pf_from_amp(atom, abs(amp)))
     if method == "quadrature":
-        return _pf_at_quadrature(atom, state, t, t0, 1e-9)
+        return _pf_at_quadrature(atom, state, t, 1e-9)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _inner_quadrature(atom, state, t2, t0, rel_tol):
+def _inner_quadrature(atom, state, t2, rel_tol):
     ge, d1 = atom.gamma_e, atom.delta1
-    lo1 = max(state.support1()[0], t0)
+    lo1 = state.support1()[0]
     hi1 = min(t2, state.support1()[1])
     if hi1 <= lo1:
         return 0.0 + 0.0j
@@ -148,9 +145,9 @@ def _inner_quadrature(atom, state, t2, t0, rel_tol):
     return integrate(f, lo1, hi1, rel_tol=rel_tol, breakpoints=bks)
 
 
-def _pf_at_quadrature(atom, state, t, t0, rel_tol):
+def _pf_at_quadrature(atom, state, t, rel_tol):
     gf, d2 = atom.gamma_f, atom.delta2
-    lo2 = max(state.support2()[0], t0)
+    lo2 = state.support2()[0]
     hi2 = min(t, state.support2()[1])
     if hi2 <= lo2:
         return 0.0
@@ -159,7 +156,7 @@ def _pf_at_quadrature(atom, state, t, t0, rel_tol):
     def g(t2):
         key = float(t2)
         if key not in cache:
-            cache[key] = _inner_quadrature(atom, state, key, t0, rel_tol * 0.1)
+            cache[key] = _inner_quadrature(atom, state, key, rel_tol * 0.1)
         return cache[key]
 
     def outer(t2_arr):
@@ -187,25 +184,29 @@ class ExcitationCurve:
     meta: dict = field(default_factory=dict)
 
 
-def excitation_curve(atom: Atom, state, times=None, t0=-np.inf, n_times=200):
+def excitation_curve(atom: Atom, state, times=None, n_times=200):
     """Sample P_f over the transient bracket and refine the global maximum.
 
-    A scan of fewer than 2 times cannot bracket the maximum: ValueError.
+    A scan of fewer than 2 times cannot bracket the maximum, and the scan
+    accumulates its amplitudes forward in time: fewer than 2 times, or
+    times that are not strictly ascending, raise ValueError.
     """
     if times is None:
-        lo, hi = scan_bounds(atom, state, t0)
+        lo, hi = scan_bounds(atom, state)
         times = np.linspace(lo, hi, n_times)
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValueError(f"a scan needs at least 2 times, got {times.size}")
-    t_max, p_max, probs = _max_with_scan(atom, state, times, t0)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("scan times must be strictly ascending")
+    t_max, p_max, probs = _max_with_scan(atom, state, times)
     return ExcitationCurve(times, probs, t_max, p_max,
                            meta={"state": state.to_dict(),
                                  "gamma_e": atom.gamma_e, "gamma_f": atom.gamma_f,
                                  "delta1": atom.delta1, "delta2": atom.delta2})
 
 
-def _max_with_scan(atom, state, times, t0):
+def _max_with_scan(atom, state, times):
     """Scan maximum refined on the closed-form slope.
 
     With O(t) the outer amplitude, dO/dt = G(t) - c2 O(t) where G is the
@@ -214,14 +215,13 @@ def _max_with_scan(atom, state, times, t0):
     time. Trial amplitudes continue the scan from the bracket's left sample
     over the scan's own panel edges.
     """
-    amps = curve_amplitudes(atom, state, times, t0=t0)
+    amps = curve_amplitudes(atom, state, times)
     probs = _pf_from_amp(atom, np.abs(amps))
     i = int(np.argmax(probs))
     win = slice(max(i - 1, 0), i + 2)
     ts, os_ = times[win], amps[win]
     c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
-    lo2 = max(state.support2()[0], t0)
-    hi2 = state.support2()[1]
+    lo2, hi2 = state.support2()
     below_hi2 = np.nextafter(hi2, -np.inf)
 
     def inner(t2):
@@ -269,7 +269,7 @@ def _max_with_scan(atom, state, times, t0):
     return t_max, p_max, probs
 
 
-def pf_max_over_t(atom: Atom, state, t0=-np.inf, gradient=False):
+def pf_max_over_t(atom: Atom, state, gradient=False):
     """Global maximum of P_f over time: coarse scan on 200 times, then the
     root of dP/dt.
 
@@ -279,39 +279,38 @@ def pf_max_over_t(atom: Atom, state, t0=-np.inf, gradient=False):
     theorem), from `_field_gradient`. (t_max, p_max) are the same bit for
     bit with or without it.
     """
-    lo, hi = scan_bounds(atom, state, t0)
+    lo, hi = scan_bounds(atom, state)
     times = np.linspace(lo, hi, 200)
-    t_max, p_max, _ = _max_with_scan(atom, state, times, t0)
+    t_max, p_max, _ = _max_with_scan(atom, state, times)
     if not gradient:
         return t_max, p_max
-    return t_max, p_max, _field_gradient(atom, state, t_max, t0)
+    return t_max, p_max, _field_gradient(atom, state, t_max)
 
 
-def _field_gradient(atom, state, t, t0):
-    """dP_f(t)/d(field) at fixed t from one panel pass of the state's
-    `inner_derivatives`.
+def _field_gradient(atom, state, t):
+    """dP_f(t)/d(field) at fixed t from one panel pass of `decayed_inner`
+    with its field derivatives.
 
     With O(t) = int_{lo2}^{min(t, hi2)} e^{c2 (t2 - t)} G(t2) dt2 and
     P_f = ge gf |O|^2, dP_f = 2 ge gf Re(conj(O) dO), where dO integrates dG
     with the same weights, each of modulus <= 1, over the outer panels of
-    the fast route. The delay shifts the second pulse's support, so where
-    that support's start is the lower limit, the delay's row gains the
-    Leibniz term -e^{c2 (lo2 - t)} G(lo2+). Only the decaying family starts
-    sharply there; the other support ends, which also move with the widths,
-    are cut where the amplitude is below 1e-12 of its peak.
+    the fast route. The delay shifts the second pulse's support, whose start
+    is the lower limit, so the delay's row gains the Leibniz term
+    -e^{c2 (lo2 - t)} G(lo2+). Only the decaying family starts sharply there;
+    the other support ends, which also move with the widths, are cut where
+    the amplitude is below 1e-12 of its peak.
     """
     c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
-    start, hi2 = state.support2()
-    lo2 = max(start, t0)
+    lo2, hi2 = state.support2()
     t_hi = min(t, hi2)
     if t_hi <= lo2:
         return np.zeros(len(fields(state)))
     nodes, half, w = panel_nodes(_outer_edges(atom, state, lo2, t_hi))
-    g, dg = state.inner_derivatives(atom, np.append(nodes.ravel(), lo2))
+    g, dg = decayed_inner(atom, state, np.append(nodes.ravel(), lo2), derivatives=True)
     weight = np.exp(c2 * (nodes - t))
     amp = (weight * g[:-1].reshape(nodes.shape)) @ w @ half
     damp = (weight * dg[:, :-1].reshape(-1, *nodes.shape)) @ w @ half
-    if start >= t0 and delay_field(type(state)):
+    if delay_field(type(state)):
         damp[-1] -= np.exp(c2 * (lo2 - t)) * g[-1]
     return 2.0 * atom.gamma_e * atom.gamma_f * np.real(np.conj(amp) * damp)
 
@@ -352,13 +351,8 @@ def pf_inner_product(atom: Atom, state, t_star):
         f = lambda t1: kern(t2, t1) * state.amplitude(t2, t1)
         return gl_panels(f, edges1, order=32)
 
-    total = 0.0 + 0.0j
-    x, w = gl_nodes(32)
-    for a_, b_ in zip(edges2[:-1], edges2[1:]):
-        mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-        nodes = mid + half * x
-        vals = np.array([inner(float(tn)) for tn in nodes])
-        total += half * np.sum(w * vals)
+    total = gl_panels(lambda t2: np.array([inner(float(tn)) for tn in t2]),
+                      edges2, order=32)
     return float(abs(total) ** 2)
 
 
@@ -450,18 +444,18 @@ def pf_optimal_closed_form(atom: Atom, t, t_star=0.0, t0=-np.inf):
 # residence time
 # ---------------------------------------------------------------------------
 
-def residence_time(atom: Atom, state, t0=-np.inf):
+def residence_time(atom: Atom, state):
     """Time integral of P_f: Simpson's rule on 4000 times over the support,
     plus the exact decay tail.
 
     Beyond the amplitude support the probability decays exactly as
     e^{-gamma_f t}, so the tail contributes P(end)/gamma_f.
     """
-    lo, hi_support = scan_bounds(atom, state, t0, pad=0.0)
+    lo, hi_support = scan_bounds(atom, state, pad=0.0)
     if hi_support <= lo:
         return 0.0
     times = np.linspace(lo, hi_support, 4000)
-    amps = curve_amplitudes(atom, state, times, t0=t0)
+    amps = curve_amplitudes(atom, state, times)
     probs = _pf_from_amp(atom, np.abs(amps))
     core = float(simpson(probs, x=times))
     tail = probs[-1] / atom.gamma_f

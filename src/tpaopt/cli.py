@@ -29,7 +29,7 @@ from . import __version__, absorption, coherent, optimal, sweeps
 from .model import Atom
 from .optimize import FAMILIES as OPTIMIZABLE, OptimizationProblem
 from .optimize import build_state, optimize_pulse, search_box
-from .states import FAMILIES, OptimalState, from_fields
+from .states import FAMILIES, OptimalState, from_fields, spectral_densities
 
 # defaults shared by every subcommand that reads the flag; _COMMANDS holds
 # the ones a subcommand has to itself
@@ -256,17 +256,16 @@ def cmd_reference(cfg):
     _write_table(out / "pmax_bound.csv", heads, ["horizon*gamma_f", "p_max_bound"],
                  [(float(h), float(optimal.pmax_bound(atom, h))) for h in horizons])
 
+    t_star = cfg["t_star"]
     grid = np.linspace(-12.0, 12.0, 481)
-    m1 = optimal.spectral_marginal_1(atom)
-    m2 = optimal.spectral_marginal_2(atom)
-    ps, pd = optimal.sum_diff_densities(atom)
+    dens = spectral_densities(OptimalState(atom, t_star))
     _write_table(out / "spectral_densities.csv", heads,
                  ["detuning_over_gamma_f", "marginal1", "marginal2",
                   "sum_density", "diff_density"],
-                 [(float(x), float(m1(x)), float(m2(x)), float(ps(x)), float(pd(x)))
+                 [(float(x), float(dens.marginal1(x)), float(dens.marginal2(x)),
+                   float(dens.sum_density(x)), float(dens.diff_density(x)))
                   for x in grid])
 
-    t_star = cfg["t_star"]
     _, p1, p2 = optimal.arrival_densities(atom, t_star)
     tgrid = np.linspace(t_star - 12.0 / gf, t_star, 481)
     _write_table(out / "arrival_densities.csv", heads,

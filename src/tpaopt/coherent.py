@@ -75,8 +75,7 @@ class CoherentDrive:
         return TimeWindow(lo, hi, n_samples)
 
     def to_dict(self):
-        return {"n1": self.n1, "n2": self.n2, "omega1": self.omega1,
-                "omega2": self.omega2, "mu": self.mu}
+        return asdict(self)
 
 
 # state layout: [gg, ee, ff, Re ge, Im ge, Re gf, Im gf, Re ef, Im ef]

@@ -87,11 +87,7 @@ class OptimizationResult:
     skipped_starts: list = field(default_factory=list)
 
     def to_dict(self):
-        return {"params": self.params, "p_max": self.p_max,
-                "t_at_max": self.t_at_max, "n_evaluations": self.n_evaluations,
-                "converged": self.converged,
-                "stationarity": self.stationarity,
-                "starts": self.starts, "skipped_starts": self.skipped_starts}
+        return asdict(self)
 
 
 def nelder_mead(f, x0, steps, diam_tol=1e-5, spread_tol=1e-9, max_evals=2000):

@@ -5,14 +5,14 @@ knows about it: its tag ``family``, its joint temporal amplitude
 ``amplitude(t2, t1)`` (zero outside support), an effective truncated
 support per axis, the analytic inner integral ``decayed_inner`` of the fast
 absorption route with the time scales that size its panels, the per-photon
-marginal densities, and its dict form. The four optimizable families also
-give ``inner_derivatives(atom, t2)``: the inner integral G and dG/d(field),
-one row per field in field order, from one kernel pass; their delay shifts
-the second photon's support without changing its length. ``FAMILIES`` maps
-each tag to its class. A family is built from its fields by name
-(`from_fields`); the spectral widths are the fields named ``omega*``, and
-the delay, where a family has one, is the other field with a default
-(`delay_field`).
+marginal densities, and its dict form. For the four optimizable families,
+``decayed_inner(atom, t2, derivatives=True)`` returns the inner integral G
+with dG/d(field), one row per field in field order, from the same kernel
+pass; their delay shifts the second photon's support without changing its
+length. ``FAMILIES`` maps each tag to its class. A family is built from its
+fields by name (`from_fields`); the spectral widths are the fields named
+``omega*``, and the delay, where a family has one, is the other field with a
+default (`delay_field`).
 Entanglement is quantified through the Schmidt coefficients, either from
 the closed form (entangled Gaussian) or by singular value decomposition of
 the discretized amplitude.
@@ -31,7 +31,7 @@ from scipy.special import erfcx
 from . import optimal as _optimal
 from .model import Atom, TimeWindow
 from .numutil import dphi1, phi1
-from .quadrature import gl_nodes, integrate
+from .quadrature import integrate, panel_nodes
 
 # Effective-support truncation: amplitude envelopes are cut where they fall
 # below 1e-12 of their peak. For a Gaussian profile of temporal sigma s this
@@ -93,8 +93,9 @@ def from_fields(cls, values):
 
 # ---------------------------------------------------------------------------
 # inner integral: G(T2) = int_{tau <= T2} e^{i d1 tau - ge (T2-tau)/2} psi(T2, tau)
-# Each family's ``decayed_inner(atom, t2)`` evaluates it in closed form for
-# the driving atom, with t2 a float array.
+# Each family's ``decayed_inner(atom, t2, derivatives=False)`` evaluates it
+# in closed form for the driving atom, with t2 a float array; with
+# ``derivatives`` (optimizable families) it returns (G, dG/d(field)).
 # ---------------------------------------------------------------------------
 
 def _gauss_inner_kernel(X, om, ge, d1, derivatives=False):
@@ -198,15 +199,13 @@ class GaussianProduct(_Product):
         d2 = min(self.mu - window.t_start, window.t_end - self.mu)
         return _gauss_tail(d1, s1) + _gauss_tail(d2, s2)
 
-    def decayed_inner(self, atom, t2):
-        pref = (self.omega1**2 / (2 * np.pi)) ** 0.25
-        return self.profile2(t2) * pref * _gauss_inner_kernel(
-            t2, self.omega1, atom.gamma_e, atom.delta1)
-
-    def inner_derivatives(self, atom, t2):
+    def decayed_inner(self, atom, t2, derivatives=False):
         front = self.profile2(t2) * (self.omega1**2 / (2 * np.pi)) ** 0.25
-        k, dk, _ = _gauss_inner_kernel(t2, self.omega1, atom.gamma_e, atom.delta1,
-                                       derivatives=True)
+        kernel = _gauss_inner_kernel(t2, self.omega1, atom.gamma_e, atom.delta1,
+                                     derivatives)
+        if not derivatives:
+            return front * kernel
+        k, dk, _ = kernel
         g = front * k
         s = t2 - self.mu
         return g, np.stack([0.5 * g / self.omega1 + front * dk,
@@ -281,20 +280,10 @@ class EntangledGaussian(_Parametric):
         om2 = self.omega_minus**2
         return math.sqrt(0.5 * (op2 + om2)), (om2 - op2) / (om2 + op2)
 
-    def decayed_inner(self, atom, t2):
-        ge, d1 = atom.gamma_e, atom.delta1
-        op2 = self.omega_plus**2
-        om2 = self.omega_minus**2
-        q, kappa = self._ridge()
-        tau = t2 - self.mu
-        m = kappa * tau
-        env = math.sqrt(self.omega_plus * self.omega_minus / (2 * np.pi)) * np.exp(
-            -(tau**2) * op2 * om2 / (2.0 * (op2 + om2)))
-        return env * np.exp(1j * d1 * m) * _gauss_inner_kernel(t2 - m, q, ge, d1)
-
-    def inner_derivatives(self, atom, t2):
-        # G = h K(X; q) with h = env e^{i d1 m}, X = t2 - m and m = kappa tau:
-        # the chain rule through the envelope, q, kappa and m
+    def decayed_inner(self, atom, t2, derivatives=False):
+        # G = h K(X; q) with h = env e^{i d1 m}, X = t2 - m and m = kappa tau;
+        # its derivatives follow by the chain rule through the envelope, q,
+        # kappa and m
         ge, d1 = atom.gamma_e, atom.delta1
         op, om = self.omega_plus, self.omega_minus
         op2, om2 = op**2, om**2
@@ -302,9 +291,12 @@ class EntangledGaussian(_Parametric):
         q, kappa = self._ridge()
         tau = t2 - self.mu
         m = kappa * tau
-        h = math.sqrt(op * om / (2 * np.pi)) * np.exp(
-            -(tau**2) * op2 * om2 / (2.0 * s) + 1j * d1 * m)
-        k, dk_q, dk_x = _gauss_inner_kernel(t2 - m, q, ge, d1, derivatives=True)
+        env = math.sqrt(op * om / (2 * np.pi)) * np.exp(-(tau**2) * op2 * om2 / (2.0 * s))
+        h = env * np.exp(1j * d1 * m)
+        kernel = _gauss_inner_kernel(t2 - m, q, ge, d1, derivatives)
+        if not derivatives:
+            return h * kernel
+        k, dk_q, dk_x = kernel
         g = h * k
         # per field: d ln(env), dm, dq
         rows = ((0.5 / op - tau**2 * op * om2**2 / s**2, -4.0 * op * om2 / s**2 * tau,
@@ -370,18 +362,16 @@ class RisingExpProduct(_Product):
             m2 += 1.0 - math.exp(self.omega2 * window.t_end)
         return m1 + m2
 
-    def decayed_inner(self, atom, t2):
+    def decayed_inner(self, atom, t2, derivatives=False):
         ge, d1 = atom.gamma_e, atom.delta1
         pole = 1j * d1 + 0.5 * (ge + self.omega1)
         g1 = np.where(
             t2 <= 0,
             math.sqrt(self.omega1) * np.exp((1j * d1 + 0.5 * self.omega1) * t2) / pole,
             math.sqrt(self.omega1) * np.exp(-0.5 * ge * np.maximum(t2, 0.0)) / pole)
-        return self.profile2(t2) * g1
-
-    def inner_derivatives(self, atom, t2):
-        g = self.decayed_inner(atom, t2)  # zero past t2 = 0
-        pole = 1j * atom.delta1 + 0.5 * (atom.gamma_e + self.omega1)
+        g = self.profile2(t2) * g1  # zero past t2 = 0
+        if not derivatives:
+            return g
         return g, np.stack([g * (0.5 / self.omega1 + 0.5 * t2 - 0.5 / pole),
                             g * (0.5 / self.omega2 + 0.5 * t2)])
 
@@ -432,11 +422,11 @@ class DecayingExpProduct(_Product):
             m2 += 1.0 - math.exp(-self.omega2 * (window.t_start - self.t_shift))
         return m1 + m2
 
-    def _inner_terms(self, atom, t2, derivative):
-        """g1 = e^{-ge t/2} int_0^t e^{a tau} dtau at t = max(t2, 0), and
-        with ``derivative`` also h = e^{-ge t/2} int_0^t tau e^{a tau} dtau
-        = -2 dg1/d omega1, from one split at |a t| = 0.5 and one set of
-        exponentials."""
+    def decayed_inner(self, atom, t2, derivatives=False):
+        # G = pre g1 with g1 = e^{-ge t/2} int_0^t e^{a tau} dtau at
+        # t = max(t2, 0); d omega1 needs h = e^{-ge t/2} int_0^t tau e^{a tau}
+        # dtau = -2 dg1/d omega1, from the same split at |a t| = 0.5 and the
+        # same exponentials
         ge, d1 = atom.gamma_e, atom.delta1
         a = 1j * d1 + 0.5 * (ge - self.omega1)
         tpos = np.maximum(t2, 0.0)
@@ -447,21 +437,13 @@ class DecayingExpProduct(_Product):
         g1 = np.empty(tpos.shape, dtype=complex)
         g1[small] = decay * ts * phi1(a * ts)
         g1[~small] = (rot - far) / a
-        if not derivative:
-            return g1, None
+        pre = self.profile2(t2) * math.sqrt(self.omega1)
+        g = pre * np.where(t2 >= 0, g1, 0.0)
+        if not derivatives:
+            return g
         h = np.empty(tpos.shape, dtype=complex)
         h[small] = decay * ts**2 * dphi1(a * ts)
         h[~small] = (rot * (a * tb - 1.0) + far) / a**2
-        return g1, h
-
-    def decayed_inner(self, atom, t2):
-        g1, _ = self._inner_terms(atom, t2, derivative=False)
-        return self.profile2(t2) * math.sqrt(self.omega1) * np.where(t2 >= 0, g1, 0.0)
-
-    def inner_derivatives(self, atom, t2):
-        g1, h = self._inner_terms(atom, t2, derivative=True)
-        pre = self.profile2(t2) * math.sqrt(self.omega1)
-        g = pre * np.where(t2 >= 0, g1, 0.0)
         s = t2 - self.t_shift
         return g, np.stack([
             0.5 * g / self.omega1 - 0.5 * pre * np.where(t2 >= 0, h, 0.0),
@@ -540,7 +522,9 @@ class OptimalState:
         p2_tail = math.exp(-a.gamma_f * d) if d > 0 else 1.0
         return p1_tail + p2_tail
 
-    def decayed_inner(self, atom, t2):
+    def decayed_inner(self, atom, t2, derivatives=False):
+        if derivatives:
+            raise UnsupportedFamilyError("the matched state has no field derivatives")
         ge, d1 = atom.gamma_e, atom.delta1
         gf_s, ge_s = self.atom.gamma_f, self.atom.gamma_e
         # the driving atom's memory rate and the state's own rate both enter
@@ -719,12 +703,8 @@ def _graded_axis(lo, hi, n, fine_scale, order=8):
         widths = w0 * r ** np.arange(panels)
         edges = hi - np.concatenate([[0.0], np.cumsum(widths)])[::-1]
         edges[0] = lo
-    x, w = gl_nodes(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    nodes, half, w = panel_nodes(edges, order)
+    return nodes.ravel(), (half[:, None] * w[None, :]).ravel()
 
 
 def _numeric_schmidt_once(state, n, window1, window2):

@@ -83,9 +83,9 @@ def pf_compact(atom, state, t, t0=-np.inf, rel_tol=1e-9):
 
 
 def pf_quadrature(atom, state, t, rel_tol):
-    """`pf_at`'s reference route (nested adaptive quadrature, t0 = -inf) at
-    a tolerance tighter than the 1e-9 that `pf_at` uses."""
-    return _pf_at_quadrature(atom, state, t, -np.inf, rel_tol)
+    """`pf_at`'s reference route (nested adaptive quadrature) at a
+    tolerance tighter than the 1e-9 that `pf_at` uses."""
+    return _pf_at_quadrature(atom, state, t, rel_tol)
 
 
 def rk4_fixed_step(rhs, y0, t0, t1, dt):

@@ -16,11 +16,6 @@ from conftest import (pf_brute_force, pf_compact, pf_quadrature, random_atom,
 
 
 class TestPfAt:
-    def test_zero_at_interaction_start(self):
-        atom = Atom(1.0, 1.0)
-        st = GaussianProduct(1.0, 1.0, 0.0)
-        assert ab.pf_at(atom, st, -20.0, t0=-20.0) == 0.0
-
     @pytest.mark.parametrize("ratio", [0.2, 1.0, 5.0])
     def test_perfect_excitation_quadrature(self, ratio):
         atom = Atom(ratio, 1.0)
@@ -80,8 +75,14 @@ class TestPfAt:
             ab.pf_at(Atom(1.0, 1.0), GaussianProduct(1.0, 1.0), 0.5, method="compact")
 
     def test_inner_integral_needs_a_state_family(self):
+        atom = Atom(1.0, 1.0)
+        for derivatives in (False, True):
+            with pytest.raises(UnsupportedFamilyError):
+                ab.decayed_inner(atom, CoherentDrive(1.0, 1.0, 1.0, 1.0), [0.0],
+                                 derivatives=derivatives)
+        # nothing optimizes the matched state: it has no field derivatives
         with pytest.raises(UnsupportedFamilyError):
-            ab.decayed_inner(Atom(1.0, 1.0), CoherentDrive(1.0, 1.0, 1.0, 1.0), [0.0])
+            ab.decayed_inner(atom, OptimalState(atom), [0.0], derivatives=True)
 
 
 class TestInnerProduct:
@@ -198,7 +199,7 @@ class TestMaxOverT:
             h = rng.uniform(0.3, 8.0)
             atom = Atom(ge, 1.0)
             st = OptimalState(atom, 0.0, -h)
-            _, pm = ab.pf_max_over_t(atom, st, t0=-h)
+            _, pm = ab.pf_max_over_t(atom, st)
             assert pm == pytest.approx(pmax_bound(atom, h), abs=1e-4)
 
 
@@ -256,22 +257,22 @@ class TestFieldGradient:
         atom = Atom(1.0, 1.0)
         t, _, grad = ab.pf_max_over_t(atom, DecayingExpProduct(0.9, 1.3, 0.0), gradient=True)
         for shift in (-1e-8, 1e-8):
-            side = ab._field_gradient(atom, DecayingExpProduct(0.9, 1.3, shift), t, -np.inf)
+            side = ab._field_gradient(atom, DecayingExpProduct(0.9, 1.3, shift), t)
             assert side == pytest.approx(grad, rel=1e-7)
 
     def test_states_outside_the_second_pulse_have_zero_gradient(self):
         atom = Atom(1.0, 1.0)
         st = DecayingExpProduct(1.0, 1.0, 2.0)
-        grad = ab._field_gradient(atom, st, 1.0, -np.inf)
+        grad = ab._field_gradient(atom, st, 1.0)
         assert np.array_equal(grad, np.zeros(3))
 
 
-def _dense_max(atom, st, t0, n=20001, levels=3):
+def _dense_max(atom, st, n=20001, levels=3):
     """Largest P_f on a dense grid, re-gridded around its argmax per level."""
-    lo, hi = ab.scan_bounds(atom, st, t0)
+    lo, hi = ab.scan_bounds(atom, st)
     for _ in range(levels):
         t = np.linspace(lo, hi, n)
-        p = ab._pf_from_amp(atom, np.abs(ab.curve_amplitudes(atom, st, t, t0=t0)))
+        p = ab._pf_from_amp(atom, np.abs(ab.curve_amplitudes(atom, st, t)))
         j = int(np.argmax(p))
         lo, hi = t[max(j - 1, 0)], t[min(j + 1, n - 1)]
         n = 2001
@@ -280,7 +281,9 @@ def _dense_max(atom, st, t0, n=20001, levels=3):
 
 # (atom, state, t0) across the optimizer's search box: widths 1e-3..1e3
 # gamma_f, omega_plus/omega_minus = 1e-6, |delta| up to 50, and states whose
-# probability peaks at a kink (support end of the rising and matched states)
+# probability peaks at a kink (support end of the rising and matched states).
+# t0 is where the interaction starts: the routes take no start, so a state
+# that starts at a finite t0 carries it in its own support
 _BOX = [
     (Atom(1.0, 1.0), GaussianProduct(1e-3, 1e-3, 0.0), -np.inf),
     (Atom(1.0, 1.0), GaussianProduct(1e3, 1e3, 0.0), -np.inf),
@@ -303,17 +306,18 @@ _BOX = [
 class TestMaxOverBox:
     @pytest.mark.parametrize("atom,st,t0", _BOX)
     def test_max_matches_dense_scan(self, atom, st, t0):
-        _, pm = ab.pf_max_over_t(atom, st, t0=t0)
-        _, p_dense = _dense_max(atom, st, t0)
+        _, pm = ab.pf_max_over_t(atom, st)
+        _, p_dense = _dense_max(atom, st)
         assert abs(pm - p_dense) <= 5e-7 * p_dense
 
     @pytest.mark.parametrize("atom,st,t0", _BOX)
     def test_max_dominates_and_bounds_hold(self, atom, st, t0, rng):
-        tm, pm = ab.pf_max_over_t(atom, st, t0=t0)
-        lo, hi = ab.scan_bounds(atom, st, t0)
-        start = max(min(st.support1()[0], st.support2()[0]), t0)
+        tm, pm = ab.pf_max_over_t(atom, st)
+        lo, hi = ab.scan_bounds(atom, st)
+        start = min(st.support1()[0], st.support2()[0])
+        assert start >= t0
         for t in np.append(rng.uniform(lo, hi, size=12), tm):
-            p = ab.pf_at(atom, st, float(t), t0=t0)
+            p = ab.pf_at(atom, st, float(t))
             bound = pmax_bound(atom, max(float(t) - start, 0.0))
             assert 0.0 <= p <= bound + 1e-12
             assert bound <= 1.0
@@ -464,7 +468,7 @@ class TestResidenceTime:
             ge = 10 ** rng.uniform(-0.7, 0.7)
             atom = Atom(ge, 1.0)
             h = rng.uniform(0.5, 6.0)
-            tau = ab.residence_time(atom, OptimalState(atom, 0.0, -h), t0=-h)
+            tau = ab.residence_time(atom, OptimalState(atom, 0.0, -h))
             assert tau <= 2.0 / atom.gamma_f + 1e-3
 
     def test_long_drives_exceed_two_but_not_four_lifetimes(self):
@@ -500,6 +504,20 @@ class TestExcitationCurve:
             ab.excitation_curve(atom, OptimalState(atom, 0.0), n_times=n_times)
         with pytest.raises(ValueError, match="at least 2 times"):
             ab.excitation_curve(atom, OptimalState(atom, 0.0), times=[0.0][:n_times])
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled", "repeated"])
+    def test_scan_times_not_ascending_rejected(self, order):
+        # amplitudes accumulate forward in time up to the last time, so a
+        # reversed scan would report p_max = 0 and a shuffled one a maximum
+        # 1e-5 low
+        atom = Atom(1.0, 1.0)
+        st = GaussianProduct(1.1, 1.9, 1.2)
+        times = np.linspace(*ab.scan_bounds(atom, st), 200)
+        bad = {"reversed": times[::-1],
+               "shuffled": np.random.default_rng(5).permutation(times),
+               "repeated": np.append(times, times[-1])}[order]
+        with pytest.raises(ValueError, match="strictly ascending"):
+            ab.excitation_curve(atom, st, times=bad)
 
 
 @pytest.mark.parametrize("family", ["gaussian_product", "entangled_gaussian",

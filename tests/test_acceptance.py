@@ -53,7 +53,7 @@ def test_criterion_02_bound_saturation():
     for ge, h in draws:
         atom = Atom(ge, 1.0)
         st = OptimalState(atom, 0.0, -h)
-        _, pm = ab.pf_max_over_t(atom, st, t0=-h)
+        _, pm = ab.pf_max_over_t(atom, st)
         worst = max(worst, abs(pm - optimal.pmax_bound(atom, h)))
     ok = worst < 1e-4
     assert verdict(2, ok, f"truncated matched state saturates the bound on "
