@@ -78,13 +78,17 @@ def _outer_edges(atom: Atom, state, lo, hi):
 def curve_amplitudes(atom: Atom, state, times):
     """Outer complex amplitudes O(t_k); P_f(t_k) = ge*gf*|O(t_k)|^2.
 
-    ``times`` must be ascending. Panel integrals are anchored at their right
-    edges and accumulated with per-step decay factors, so every exponential
-    stays bounded by one regardless of rate*time products. The inner
-    integral is evaluated in a single vectorized call over all panel nodes.
+    The amplitudes accumulate forward in time up to the last time, so
+    ``times`` that are not strictly ascending raise ValueError. Panel
+    integrals are anchored at their right edges and accumulated with
+    per-step decay factors, so every exponential stays bounded by one
+    regardless of rate*time products. The inner integral is evaluated in a
+    single vectorized call over all panel nodes.
     """
     c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
     times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("scan times must be strictly ascending")
     lo2, hi2 = state.support2()
     out = np.zeros(times.size, dtype=complex)
     t_hi = min(times[-1], hi2)
@@ -187,9 +191,9 @@ class ExcitationCurve:
 def excitation_curve(atom: Atom, state, times=None, n_times=200):
     """Sample P_f over the transient bracket and refine the global maximum.
 
-    A scan of fewer than 2 times cannot bracket the maximum, and the scan
-    accumulates its amplitudes forward in time: fewer than 2 times, or
-    times that are not strictly ascending, raise ValueError.
+    A scan of fewer than 2 times cannot bracket the maximum: it raises
+    ValueError, as do times that are not strictly ascending
+    (`curve_amplitudes`).
     """
     if times is None:
         lo, hi = scan_bounds(atom, state)
@@ -197,8 +201,6 @@ def excitation_curve(atom: Atom, state, times=None, n_times=200):
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValueError(f"a scan needs at least 2 times, got {times.size}")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("scan times must be strictly ascending")
     t_max, p_max, probs = _max_with_scan(atom, state, times)
     return ExcitationCurve(times, probs, t_max, p_max,
                            meta={"state": state.to_dict(),

@@ -60,14 +60,6 @@ def load_config(path):
     return cfg
 
 
-def save_config(cfg, path):
-    if str(path).endswith(".json"):
-        Path(path).write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [f"{k}={json.dumps(v)}" for k, v in sorted(cfg.items())]
-        Path(path).write_text("\n".join(lines) + "\n")
-
-
 # accepted config-file synonyms for the atom parameters
 _KEY_ALIASES = {
     "gamma_e_over_gamma_f": "gamma_ratio",

@@ -569,16 +569,6 @@ FAMILIES = {cls.family: cls for cls in (GaussianProduct, EntangledGaussian,
                                         OptimalState)}
 
 
-def state_from_dict(d):
-    """Inverse of each family's to_dict; raises on unknown family tags."""
-    try:
-        cls = FAMILIES[d.get("family")]
-    except KeyError as exc:
-        raise UnsupportedFamilyError(
-            f"unknown family {d.get('family')!r}; choose from {', '.join(FAMILIES)}") from exc
-    return cls.from_dict(d)
-
-
 def norm_check(state, window: TimeWindow | None = None, rel_tol=1e-10):
     """Two-dimensional quadrature of |amplitude|^2 over the window.
 

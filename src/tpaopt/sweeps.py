@@ -2,11 +2,20 @@
 
 Grids are embarrassingly parallel over cells; every cell's seeds are fixed
 in advance (family heuristics plus the resonant-cell optimum), so results
-are bitwise independent of evaluation order and worker count.
+are bitwise independent of evaluation order and worker count. While a
+worker pool runs (``jobs`` > 1), the OpenBLAS builds bundled with scipy and
+numpy run one thread in every process, the forked workers included:
+L-BFGS-B calls into BLAS on every iteration, and helper threads that wait
+for a core the other workers hold slow each call down. The caller's thread
+counts are restored once the pool has closed.
 """
 
+import ctypes
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -153,8 +162,35 @@ def detuning_map(family, gamma_ratio, delta1_values, delta2_values,
               "resonant_params": resonant.params, "seed": seed})
 
 
+def _blas_pools():
+    """(get, set) thread-count functions of the loaded OpenBLAS builds from
+    the scipy and numpy wheels; a library or symbol not found is skipped."""
+    pools = []
+    for pkg, suffix in (("scipy", ""), ("numpy", "64_")):
+        libs = Path(sys.modules[pkg].__file__).parents[1] / f"{pkg}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            pools.append((get, set_))
+    return pools
+
+
 def _run(tasks, fn, jobs):
     if jobs <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    pools = _blas_pools()
+    counts = [get() for get, _ in pools]
+    for _, set_threads in pools:  # before the fork, so the workers inherit it
+        set_threads(1)
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    finally:
+        for (_, set_threads), n in zip(pools, counts):
+            set_threads(n)

@@ -508,8 +508,9 @@ class TestExcitationCurve:
     @pytest.mark.parametrize("order", ["reversed", "shuffled", "repeated"])
     def test_scan_times_not_ascending_rejected(self, order):
         # amplitudes accumulate forward in time up to the last time, so a
-        # reversed scan would report p_max = 0 and a shuffled one a maximum
-        # 1e-5 low
+        # reversed scan would give P_f = 0 at every time (against a maximum
+        # of 0.555 ascending) and a shuffled one a maximum 1e-5 low; the
+        # check sits in curve_amplitudes, which excitation_curve calls
         atom = Atom(1.0, 1.0)
         st = GaussianProduct(1.1, 1.9, 1.2)
         times = np.linspace(*ab.scan_bounds(atom, st), 200)
@@ -518,6 +519,8 @@ class TestExcitationCurve:
                "repeated": np.append(times, times[-1])}[order]
         with pytest.raises(ValueError, match="strictly ascending"):
             ab.excitation_curve(atom, st, times=bad)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            ab.curve_amplitudes(atom, st, bad)
 
 
 @pytest.mark.parametrize("family", ["gaussian_product", "entangled_gaussian",

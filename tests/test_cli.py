@@ -9,12 +9,21 @@ import pytest
 
 import tpaopt.absorption as absorption
 import tpaopt.optimize as opt
-from tpaopt.cli import (_preset_path, build_parser, load_config, main,
-                        save_config)
+from tpaopt.cli import _preset_path, build_parser, load_config, main
 from tpaopt.model import Atom
 from tpaopt.optimize import FAMILIES as OPTIMIZABLE
 from tpaopt.states import FAMILIES
 from conftest import strip_timestamp
+
+
+def save_config(cfg, path):
+    """Write ``cfg`` in the form ``load_config`` reads: JSON for a .json
+    path, else key=JSON-value lines."""
+    if str(path).endswith(".json"):
+        Path(path).write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    else:
+        lines = [f"{k}={json.dumps(v)}" for k, v in sorted(cfg.items())]
+        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def test_config_round_trip_keyvalue(tmp_path):

@@ -10,9 +10,18 @@ from tpaopt.states import (FAMILIES, DecayingExpProduct, EntangledGaussian,
                            RisingExpProduct, SchmidtResult,
                            UnsupportedFamilyError, WindowTooSmallError,
                            hermite_mode, norm_check, schmidt_analytic,
-                           schmidt_numeric, spectral_densities,
-                           state_from_dict)
+                           schmidt_numeric, spectral_densities)
 from conftest import random_state
+
+
+def state_from_dict(d):
+    """Inverse of each family's to_dict; raises on unknown family tags."""
+    try:
+        cls = FAMILIES[d.get("family")]
+    except KeyError as exc:
+        raise UnsupportedFamilyError(
+            f"unknown family {d.get('family')!r}; choose from {', '.join(FAMILIES)}") from exc
+    return cls.from_dict(d)
 
 
 class TestAmplitudes:

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import tpaopt.sweeps as sweeps
 from tpaopt.cli import _write_grid
 from tpaopt.model import Atom
 from tpaopt.optimize import (OptimizationProblem, _param_names, build_state,
                              max_over_time, nelder_mead, optimize_pulse)
-from tpaopt.sweeps import (_sensitivity_cell, detuning_map, ratio_sweep,
+from tpaopt.sweeps import (_run, _sensitivity_cell, detuning_map, ratio_sweep,
                            sensitivity_map)
 
 
@@ -116,6 +117,33 @@ def test_coherent_grid_deterministic_across_workers():
     b = ratio_sweep("coherent", [1.0], jobs=2)
     assert np.array_equal(a.values, b.values)
     assert a.cells == b.cells
+
+
+@pytest.mark.parametrize("family", ["gaussian_product", "entangled_gaussian"])
+def test_detuning_map_deterministic_across_workers(family):
+    # the pool's workers run one BLAS thread, a jobs=1 map the caller's count
+    a = detuning_map(family, 0.5, [-1.0, 0.0, 1.0], [0.0], jobs=1)
+    b = detuning_map(family, 0.5, [-1.0, 0.0, 1.0], [0.0], jobs=2)
+    assert np.array_equal(a.values, b.values)
+    assert a.cells == b.cells
+
+
+def _blas_threads(_):
+    return [get() for get, _ in sweeps._blas_pools()]
+
+
+def test_pool_runs_one_blas_thread_and_restores_the_callers():
+    before = _blas_threads(None)
+    if not before:
+        pytest.skip("no OpenBLAS from the scipy or numpy wheels is loaded")
+    seen = _run(range(4), _blas_threads, 2)
+    assert seen == [[1] * len(before)] * 4
+    assert _blas_threads(None) == before
+
+
+def test_pool_runs_without_a_blas_to_limit(monkeypatch):
+    monkeypatch.setattr(sweeps, "_blas_pools", lambda: [])
+    assert _run(range(4), abs, 2) == [0, 1, 2, 3]
 
 
 def test_grid_exports(tmp_path):
