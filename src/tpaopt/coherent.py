@@ -4,12 +4,12 @@ Two classical Gaussian pulses with mean photon numbers n1, n2 drive the two
 transitions; the atomic density matrix obeys a Lindblad equation whose six
 independent components (three populations, three coherences) form a linear
 9-real-component system y' = M(t) y, M(t) = a0 + e1(t) a1 + e2(t) a2.
-`evolve` integrates it with scipy's ``solve_ivp`` (RK45) and is the reference
-route; `pf_max_coherent` steps the same Dormand-Prince 5(4) pair with the
-same step control through a stepper written for the linear system, which
-builds each step's stage generators in one matrix product. On request the
-stepper also carries the forward sensitivities dy/d(omega1, omega2, mu)
-through each accepted step's stages, which give the gradient of the maximum.
+Both `evolve` (the sampled trajectory) and `pf_max_coherent` (the maximum of
+rho_ff) integrate it with one Dormand-Prince 5(4) stepper written for the
+linear system, with RK45's tableau and step control, which builds each
+step's stage generators in one matrix product. On request the stepper also
+carries the forward sensitivities dy/d(omega1, omega2, mu) through each
+accepted step's stages, which give the gradient of the maximum.
 """
 
 import math
@@ -17,7 +17,9 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45
+# not called here; perfbench's `coherent.solve_ivp` span patches it by name
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from .model import Atom, TimeWindow
 from .numutil import refine_max
@@ -114,20 +116,6 @@ def _system_matrices(atom: Atom):
     return a0, a1, a2
 
 
-def lindblad_rhs(atom: Atom, drive: CoherentDrive):
-    """Right-hand side f(t, y) of the 9-component real system."""
-    a0, a1, a2 = _system_matrices(atom)
-    c1 = math.sqrt(atom.gamma_e * drive.n1)
-    c2 = math.sqrt(atom.gamma_f * drive.n2)
-
-    def rhs(t, y):
-        e1 = c1 * drive.envelope1(t)
-        e2 = c2 * drive.envelope2(t)
-        return (a0 + e1 * a1 + e2 * a2) @ y
-
-    return rhs
-
-
 def _generators(atom: Atom, drive: CoherentDrive):
     """times -> stack of generators M(t), shape (len(times), 9, 9)."""
     basis = np.stack(_system_matrices(atom)).reshape(3, 81)
@@ -193,19 +181,15 @@ def evolve(atom: Atom, drive: CoherentDrive, window: TimeWindow | None = None,
            rtol=1e-8, atol=1e-10):
     """Integrate the driven master equation and sample on the window grid.
 
-    This is the reference route: scipy's ``solve_ivp`` (RK45) on
-    `lindblad_rhs`, sampled through its dense output.
+    The master equation is stepped once by `_dormand_prince`, as in
+    `pf_max_coherent`, and sampled through the steps' dense output.
     """
     if window is None:
         window = drive.default_window(atom)
-    y0 = np.zeros(9)
-    y0[0] = 1.0  # ground state at t0
-    sol = solve_ivp(lindblad_rhs(atom, drive), (window.t_start, window.t_end),
-                    y0, method="RK45", rtol=rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(sol.message)
+    steps, _ = _dormand_prince(_generators(atom, drive), window.t_start,
+                               window.t_end, rtol, atol)
     ts = window.grid()
-    y = sol.sol(ts)
+    y = steps(ts).T
     return DensityTrajectory(
         times=ts, rho_gg=y[0], rho_ee=y[1], rho_ff=y[2],
         rho_ge=y[3] + 1j * y[4], rho_gf=y[5] + 1j * y[6],
@@ -356,10 +340,10 @@ def pf_max_coherent(atom: Atom, drive: CoherentDrive, rtol=1e-8, atol=1e-10,
                     gradient=False):
     """Maximum of the final-state population over the drive's default window.
 
-    The master equation is stepped once by `_dormand_prince` (solve_ivp's
-    RK45 step control, so rtol/atol mean the same as for `evolve`); rho_ff
-    is scanned on 1200 points of its dense output and the maximum refined
-    by `refine_max` at the root of the slope d rho_ff/dt, row 2 of M(t) y.
+    The master equation is stepped once by `_dormand_prince`, as in
+    `evolve`, so rtol/atol mean the same for both; rho_ff is scanned on
+    1200 points of its dense output and the maximum refined by
+    `refine_max` at the root of the slope d rho_ff/dt, row 2 of M(t) y.
     Returns (t_max, p_max), and with ``gradient`` also d p_max/d theta for
     theta = (omega1, omega2, mu): the slope vanishes at the maximum, so this
     is d rho_ff/d theta at fixed time (envelope theorem), read from the

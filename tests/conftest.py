@@ -4,9 +4,11 @@ The oracles here are deliberately independent of the package's numerical
 paths: a dense two-dimensional cumulative-trapezoid evaluation of the
 excitation probability, and a fixed-step classical Runge-Kutta integrator
 for the driven master equation. The excitation probability also has the
-unshifted compact form under adaptive quadrature, and the coherent maximum
-a reference route through scipy's ``solve_ivp`` on the package's
-right-hand side.
+unshifted compact form under adaptive quadrature. The master equation's
+right-hand side `lindblad_rhs` and scipy's ``solve_ivp`` live only among
+these oracles: the package integrates the master equation with its own
+Dormand-Prince stepper, and `solve_ivp_reference` is the reference for both
+its trajectories and its maxima.
 """
 
 import math
@@ -16,7 +18,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from tpaopt.absorption import _pf_at_quadrature
-from tpaopt.coherent import lindblad_rhs
+from tpaopt.coherent import _system_matrices
 from tpaopt.model import Atom
 from tpaopt.numutil import refine_max
 from tpaopt.quadrature import integrate
@@ -107,28 +109,52 @@ def rk4_fixed_step(rhs, y0, t0, t1, dt):
     return ts, out
 
 
+def lindblad_rhs(atom, drive):
+    """Right-hand side f(t, y) of the 9-component real master equation."""
+    a0, a1, a2 = _system_matrices(atom)
+    c1 = math.sqrt(atom.gamma_e * drive.n1)
+    c2 = math.sqrt(atom.gamma_f * drive.n2)
+
+    def rhs(t, y):
+        e1 = c1 * drive.envelope1(t)
+        e2 = c2 * drive.envelope2(t)
+        return (a0 + e1 * a1 + e2 * a2) @ y
+
+    return rhs
+
+
+def solve_ivp_reference(atom, drive, window, rtol, atol):
+    """Dense solution of the master equation from the ground state at the
+    window's start: scipy's ``solve_ivp`` (RK45) on `lindblad_rhs`.
+
+    Returns times -> states, shape (9,) + shape of the times.
+    """
+    y0 = np.zeros(9)
+    y0[0] = 1.0
+    sol = solve_ivp(lindblad_rhs(atom, drive), (window.t_start, window.t_end), y0,
+                    method="RK45", rtol=rtol, atol=atol, dense_output=True)
+    assert sol.success, sol.message
+    return sol.sol
+
+
 def pf_max_coherent_reference(atom, drive, rtol, atol, n_scan=1200):
-    """Coherent maximum through solve_ivp (RK45) and its dense output.
+    """Coherent maximum through `solve_ivp_reference`.
 
     Same scan and refiner as ``coherent.pf_max_coherent``, with every state
-    and slope taken from scipy's solver on ``lindblad_rhs``.
+    and slope taken from scipy's solver on `lindblad_rhs`.
     """
     window = drive.default_window(atom)
     rhs = lindblad_rhs(atom, drive)
-    y0 = np.zeros(9)
-    y0[0] = 1.0
-    sol = solve_ivp(rhs, (window.t_start, window.t_end), y0, method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True)
-    assert sol.success, sol.message
+    sol = solve_ivp_reference(atom, drive, window, rtol, atol)
     ts = np.linspace(window.t_start, window.t_end, n_scan)
-    pf = sol.sol(ts)[2]
+    pf = sol(ts)[2]
     i = int(np.argmax(pf))
     win = slice(max(i - 1, 0), i + 2)
-    slopes = [rhs(t, y)[2] for t, y in zip(ts[win], sol.sol(ts[win]).T)]
+    slopes = [rhs(t, y)[2] for t, y in zip(ts[win], sol(ts[win]).T)]
 
     def trial(k):
         def at(t):
-            y = sol.sol(t)
+            y = sol(t)
             return rhs(t, y)[2], y[2]
         return at
 
