@@ -70,8 +70,8 @@ def _outer_breakpoints(state):
 
 def _outer_edges(atom: Atom, state, lo, hi):
     rate = atom.gamma_e + atom.gamma_f + abs(atom.delta1) + abs(atom.delta2)
-    h_max = min(4.0 / rate, 2.0 * state.inner_scale(atom),
-                2.0 * state.t2_scale())
+    # inner_scale never exceeds t2_scale, so it sizes the t2 panels too
+    h_max = min(4.0 / rate, 2.0 * state.inner_scale(atom))
     return subdivide(lo, hi, h_max, extra=_outer_breakpoints(state))
 
 
@@ -188,19 +188,16 @@ class ExcitationCurve:
     meta: dict = field(default_factory=dict)
 
 
-def excitation_curve(atom: Atom, state, times=None, n_times=200):
-    """Sample P_f over the transient bracket and refine the global maximum.
+def excitation_curve(atom: Atom, state, n_times=200):
+    """Sample P_f at n_times times evenly over the transient bracket
+    (`scan_bounds`) and refine the global maximum.
 
     A scan of fewer than 2 times cannot bracket the maximum: it raises
-    ValueError, as do times that are not strictly ascending
-    (`curve_amplitudes`).
+    ValueError.
     """
-    if times is None:
-        lo, hi = scan_bounds(atom, state)
-        times = np.linspace(lo, hi, n_times)
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise ValueError(f"a scan needs at least 2 times, got {times.size}")
+    if n_times < 2:
+        raise ValueError(f"a scan needs at least 2 times, got {n_times}")
+    times = np.linspace(*scan_bounds(atom, state), n_times)
     t_max, p_max, probs = _max_with_scan(atom, state, times)
     return ExcitationCurve(times, probs, t_max, p_max,
                            meta={"state": state.to_dict(),

@@ -182,7 +182,8 @@ def evolve(atom: Atom, drive: CoherentDrive, window: TimeWindow | None = None,
     """Integrate the driven master equation and sample on the window grid.
 
     The master equation is stepped once by `_dormand_prince`, as in
-    `pf_max_coherent`, and sampled through the steps' dense output.
+    `pf_max_coherent`, and sampled through the steps' dense output. ``meta``
+    records the rtol it stepped at, floored at 100 eps as the stepper does.
     """
     if window is None:
         window = drive.default_window(atom)
@@ -195,7 +196,7 @@ def evolve(atom: Atom, drive: CoherentDrive, window: TimeWindow | None = None,
         rho_ge=y[3] + 1j * y[4], rho_gf=y[5] + 1j * y[6],
         rho_ef=y[7] + 1j * y[8],
         meta={"atom": asdict(atom), "drive": drive.to_dict(),
-              "rtol": rtol, "atol": atol},
+              "rtol": max(rtol, _RTOL_FLOOR), "atol": atol},
     )
 
 
@@ -208,6 +209,7 @@ _A, _B, _C, _E, _P = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
 _WEIGHTS = np.zeros((7, 7))
 _WEIGHTS[1:6, 1:6] = _A[1:]
 _WEIGHTS[6, 1:] = _B
+_RTOL_FLOOR = 100 * np.finfo(float).eps   # solve_ivp's lowest rtol
 
 
 def _rms(x):
@@ -252,9 +254,9 @@ def _dormand_prince(generators, t0, t1, rtol, atol, derivatives=None):
     same with or without it. S is flattened to 27 columns, column 9 i + j holding
     d y_j / d theta_i.
     """
-    if rtol < 100 * np.finfo(float).eps:
+    if rtol < _RTOL_FLOOR:
         warnings.warn(f"rtol {rtol} is below 100 eps; using 100 eps", stacklevel=3)
-        rtol = 100 * np.finfo(float).eps
+        rtol = _RTOL_FLOOR
     if atol < 0:
         raise ValueError("atol must be >= 0")
     y = np.zeros(9)

@@ -21,7 +21,7 @@ def phi1(z):
     out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
     zb = z[~small]
     if np.iscomplexobj(z):
-        out[~small] = (np.exp(zb) - 1.0) / np.where(zb == 0, 1.0, zb)
+        out[~small] = (np.exp(zb) - 1.0) / zb
     else:
         out[~small] = np.expm1(zb) / zb
     return out[0] if scalar else out

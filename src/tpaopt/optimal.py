@@ -105,18 +105,6 @@ def arrival_expectations(atom: Atom, t_star=0.0):
     return (t_star - 1.0 / ge - 1.0 / gf, t_star - 1.0 / gf)
 
 
-def arrival_time_tail(atom: Atom, depth):
-    """Mass of the first-photon arrival density earlier than t_star - depth.
-
-    The tail integral of p1 equals 1 - pmax_bound(depth) exactly.
-    """
-    if depth <= 0:
-        return 1.0
-    if np.isinf(depth):
-        return 0.0
-    return 1.0 - pmax_bound(atom, depth)
-
-
 def _bessel_zeros(nu, k_max):
     grid = np.concatenate([np.logspace(-8, 0, 80),
                            np.arange(1.0, (k_max + nu / 2 + 3) * np.pi, 0.2)])

@@ -90,12 +90,12 @@ class OptimizationResult:
         return asdict(self)
 
 
-def nelder_mead(f, x0, steps, diam_tol=1e-5, spread_tol=1e-9, max_evals=2000):
+def nelder_mead(f, x0, steps, max_evals=2000):
     """Minimize f from x0; returns (x, fx, n_evals, converged, diameter).
 
     Standard reflection/expansion/contraction/shrink moves; convergence when
-    the simplex diameter relative to the centroid scale drops below diam_tol
-    and the vertex objective spread below spread_tol.
+    the simplex diameter relative to the centroid scale drops below 1e-5
+    and the vertex objective spread below 1e-9.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -121,7 +121,7 @@ def nelder_mead(f, x0, steps, diam_tol=1e-5, spread_tol=1e-9, max_evals=2000):
         order = np.argsort(fvals)
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
-        if diameter() < diam_tol and (fvals[-1] - fvals[0]) < spread_tol:
+        if diameter() < 1e-5 and (fvals[-1] - fvals[0]) < 1e-9:
             return simplex[0], fvals[0], evals[0], True, diameter()
         centroid = np.mean(simplex[:-1], axis=0)
         xr = centroid + (centroid - simplex[-1])

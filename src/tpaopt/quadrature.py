@@ -50,13 +50,12 @@ def _panel(f, a, b):
     return ik, err
 
 
-def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-14, breakpoints=(),
-              max_intervals=10_000):
+def integrate(f, a, b, rel_tol=1e-9, breakpoints=(), max_intervals=10_000):
     """Integrate f over [a, b]; f maps a float array to a complex array.
 
     Returns the integral estimate. Raises QuadratureError when the
     subdivision budget is exhausted before the error estimate drops below
-    max(rel_tol * |integral|, abs_tol).
+    max(rel_tol * |integral|, 1e-14).
     """
     if a == b:
         return 0.0 + 0.0j
@@ -77,7 +76,7 @@ def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-14, breakpoints=(),
         heapq.heappush(heap, (-err, n, lo, hi, val))
         n += 1
 
-    while total_err > max(rel_tol * abs(total), abs_tol):
+    while total_err > max(rel_tol * abs(total), 1e-14):
         if n >= max_intervals:
             raise QuadratureError(
                 f"quadrature did not converge within {max_intervals} "

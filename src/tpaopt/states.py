@@ -3,9 +3,11 @@
 Each family is one frozen dataclass and the only home of what the package
 knows about it: its tag ``family``, its joint temporal amplitude
 ``amplitude(t2, t1)`` (zero outside support), an effective truncated
-support per axis, the analytic inner integral ``decayed_inner`` of the fast
-absorption route with the time scales that size its panels, the per-photon
-marginal densities, and its dict form. For the four optimizable families,
+support and its kinks per axis (``support1/2``, ``breakpoints1/2``), the
+analytic inner integral ``decayed_inner`` of the fast absorption route with
+the time scales that size its panels (``t1_scale``, ``t2_scale`` and
+``inner_scale(atom)``, never above ``t2_scale``), the per-photon
+``marginal_densities``, and its dict form. For the four optimizable families,
 ``decayed_inner(atom, t2, derivatives=True)`` returns the inner integral G
 with dG/d(field), one row per field in field order, from the same kernel
 pass; their delay shifts the second photon's support without changing its
@@ -22,14 +24,14 @@ driving the lower transition and photon 2 the upper one.
 """
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy import linalg
 from scipy.special import erfcx
 
 from . import optimal as _optimal
-from .model import Atom, TimeWindow
+from .model import Atom
 from .numutil import dphi1, phi1
 from .quadrature import integrate, panel_nodes
 
@@ -39,10 +41,6 @@ from .quadrature import integrate, panel_nodes
 # times (60/rate).
 _GAUSS_CUT = 9.0 * math.sqrt(2.0)
 _EXP_CUT = 60.0
-
-
-class WindowTooSmallError(ValueError):
-    """Window excludes more amplitude mass than the tolerance allows."""
 
 
 class UnsupportedFamilyError(TypeError):
@@ -55,13 +53,6 @@ class MissingParameterError(ValueError):
 
 class GridTooCoarseError(RuntimeError):
     """Doubling the SVD grid still changes the entropy beyond tolerance."""
-
-
-def _gauss_tail(d, sigma):
-    """P(|X| > d) for X ~ N(0, sigma^2); 0 when d <= 0 means full mass."""
-    if d <= 0:
-        return 1.0
-    return math.erfc(d / (sigma * math.sqrt(2.0)))
 
 
 def width_names(cls):
@@ -193,12 +184,6 @@ class GaussianProduct(_Product):
     def breakpoints2(self):
         return (self.mu,)
 
-    def tail_mass_outside(self, window):
-        s1, s2 = 1.0 / self.omega1, 1.0 / self.omega2
-        d1 = min(-window.t_start, window.t_end)
-        d2 = min(self.mu - window.t_start, window.t_end - self.mu)
-        return _gauss_tail(d1, s1) + _gauss_tail(d2, s2)
-
     def decayed_inner(self, atom, t2, derivatives=False):
         front = self.profile2(t2) * (self.omega1**2 / (2 * np.pi)) ** 0.25
         kernel = _gauss_inner_kernel(t2, self.omega1, atom.gamma_e, atom.delta1,
@@ -267,12 +252,6 @@ class EntangledGaussian(_Parametric):
 
     def breakpoints2(self):
         return (self.mu,)
-
-    def tail_mass_outside(self, window):
-        s = math.sqrt(self.sigma_t2)
-        d1 = min(-window.t_start, window.t_end)
-        d2 = min(self.mu - window.t_start, window.t_end - self.mu)
-        return _gauss_tail(d1, s) + _gauss_tail(d2, s)
 
     def _ridge(self):
         """Width q of the inner Gaussian and slope kappa of its ridge."""
@@ -351,17 +330,6 @@ class RisingExpProduct(_Product):
     def breakpoints2(self):
         return (0.0,)
 
-    def tail_mass_outside(self, window):
-        # all mass sits in t <= 0; only the lower edge can cut it
-        m1 = math.exp(self.omega1 * min(window.t_start, 0.0))
-        m2 = math.exp(self.omega2 * min(window.t_start, 0.0))
-        if window.t_start >= 0:
-            return 2.0
-        if window.t_end < 0:
-            m1 += 1.0 - math.exp(self.omega1 * window.t_end)
-            m2 += 1.0 - math.exp(self.omega2 * window.t_end)
-        return m1 + m2
-
     def decayed_inner(self, atom, t2, derivatives=False):
         ge, d1 = atom.gamma_e, atom.delta1
         pole = 1j * d1 + 0.5 * (ge + self.omega1)
@@ -412,15 +380,6 @@ class DecayingExpProduct(_Product):
 
     def breakpoints2(self):
         return (self.t_shift,)
-
-    def tail_mass_outside(self, window):
-        m1 = math.exp(-self.omega1 * max(window.t_end, 0.0))
-        m2 = math.exp(-self.omega2 * max(window.t_end - self.t_shift, 0.0))
-        if window.t_start > 0:
-            m1 += 1.0 - math.exp(-self.omega1 * window.t_start)
-        if window.t_start > self.t_shift:
-            m2 += 1.0 - math.exp(-self.omega2 * (window.t_start - self.t_shift))
-        return m1 + m2
 
     def decayed_inner(self, atom, t2, derivatives=False):
         # G = pre g1 with g1 = e^{-ge t/2} int_0^t e^{a tau} dtau at
@@ -510,18 +469,6 @@ class OptimalState:
 
     breakpoints2 = breakpoints1
 
-    def tail_mass_outside(self, window):
-        a = self.atom
-        if window.t_end < self.t_star:
-            return 1.0
-        d = self.t_star - window.t_start
-        if np.isfinite(self.t0) and window.t_start <= self.t0:
-            return 0.0
-        # arrival-time marginals bound the per-axis tails
-        p1_tail = _optimal.arrival_time_tail(a, d)
-        p2_tail = math.exp(-a.gamma_f * d) if d > 0 else 1.0
-        return p1_tail + p2_tail
-
     def decayed_inner(self, atom, t2, derivatives=False):
         if derivatives:
             raise UnsupportedFamilyError("the matched state has no field derivatives")
@@ -569,36 +516,24 @@ FAMILIES = {cls.family: cls for cls in (GaussianProduct, EntangledGaussian,
                                         OptimalState)}
 
 
-def norm_check(state, window: TimeWindow | None = None, rel_tol=1e-10):
-    """Two-dimensional quadrature of |amplitude|^2 over the window.
+def norm_check(state):
+    """Two-dimensional quadrature of |amplitude|^2 over the state's supports.
 
-    The returned value is 1 within 1e-8 for every valid family. Raises
-    WindowTooSmallError when the analytic tail estimate outside the window
-    exceeds 1e-10.
+    The returned value is 1 within 1e-8 for every valid family; the
+    supports cut each envelope below 1e-12 of its peak.
     """
-    if window is None:
-        lo = min(state.support1()[0], state.support2()[0])
-        hi = max(state.support1()[1], state.support2()[1])
-        window = TimeWindow(lo - 1e-9, hi + 1e-9)
-    elif state.tail_mass_outside(window) > 1e-10:
-        raise WindowTooSmallError(
-            "window excludes more than 1e-10 of the amplitude mass")
-
-    lo1 = max(window.t_start, state.support1()[0])
-    hi1 = min(window.t_end, state.support1()[1])
-    lo2 = max(window.t_start, state.support2()[0])
-    hi2 = min(window.t_end, state.support2()[1])
+    lo1, hi1 = state.support1()
     bk1 = state.breakpoints1()
 
     def inner(t2):
         f = lambda t1: np.abs(state.amplitude(t2, t1)) ** 2
         bks = tuple(bk1) + (t2,)
-        return integrate(f, lo1, hi1, rel_tol=rel_tol, breakpoints=bks).real
+        return integrate(f, lo1, hi1, rel_tol=1e-10, breakpoints=bks).real
 
     def outer(t2_arr):
         return np.array([inner(float(t2)) for t2 in np.atleast_1d(t2_arr)])
 
-    val = integrate(outer, lo2, hi2, rel_tol=rel_tol,
+    val = integrate(outer, *state.support2(), rel_tol=1e-10,
                     breakpoints=state.breakpoints2())
     return float(val.real)
 
@@ -670,14 +605,14 @@ def hermite_mode(state: EntangledGaussian, n):
     return mode
 
 
-def _graded_axis(lo, hi, n, fine_scale, order=8):
-    """Composite Gauss-Legendre nodes graded geometrically toward hi.
+def _graded_axis(lo, hi, n, fine_scale):
+    """Composite 8-node Gauss-Legendre nodes graded geometrically toward hi.
 
     Panel widths grow away from hi so a kernel with a fast scale near hi and
     a slow decaying tail is resolved with n total nodes.
     """
     span = hi - lo
-    panels = max(4, n // order)
+    panels = max(4, n // 8)
     w0 = min(fine_scale / 4.0, span / panels)
     if w0 * panels >= span * 0.999:
         edges = np.linspace(lo, hi, panels + 1)
@@ -693,15 +628,15 @@ def _graded_axis(lo, hi, n, fine_scale, order=8):
         widths = w0 * r ** np.arange(panels)
         edges = hi - np.concatenate([[0.0], np.cumsum(widths)])[::-1]
         edges[0] = lo
-    nodes, half, w = panel_nodes(edges, order)
+    nodes, half, w = panel_nodes(edges, 8)
     return nodes.ravel(), (half[:, None] * w[None, :]).ravel()
 
 
-def _numeric_schmidt_once(state, n, window1, window2):
+def _numeric_schmidt_once(state, n):
     if isinstance(state, OptimalState):
-        return _schmidt_once_optimal(state, n, window1, window2)
-    t1 = np.linspace(window1.t_start, window1.t_end, n)
-    t2 = np.linspace(window2.t_start, window2.t_end, n)
+        return _schmidt_once_optimal(state, n)
+    t1 = np.linspace(*state.support1(), n)
+    t2 = np.linspace(*state.support2(), n)
     d1 = t1[1] - t1[0]
     d2 = t2[1] - t2[0]
     kern = state.amplitude(t2[:, None], t1[None, :]) * math.sqrt(d1 * d2)
@@ -710,7 +645,7 @@ def _numeric_schmidt_once(state, n, window1, window2):
     return sv, _entropy_from_weights(w), max(1.0 - float(np.sum(w)), 0.0)
 
 
-def _schmidt_once_optimal(state, n, window1, window2):
+def _schmidt_once_optimal(state, n):
     """Schmidt data for the triangular-support amplitude.
 
     The amplitude jumps to zero across t1 = t2, so plain node sampling
@@ -721,26 +656,27 @@ def _schmidt_once_optimal(state, n, window1, window2):
     convergence.
     """
     a = state.atom
+    (lo1, hi1), (lo2, hi2) = state.support1(), state.support2()
     if a.gamma_e < a.gamma_f / 3.0:
         fine = 2.0 / max(a.gamma_e, a.gamma_f)
-        t1, w1 = _graded_axis(window1.t_start, window1.t_end, n, fine)
-        t2, w2 = _graded_axis(window2.t_start, window2.t_end, n, fine)
+        t1, w1 = _graded_axis(lo1, hi1, n, fine)
+        t2, w2 = _graded_axis(lo2, hi2, n, fine)
         kern = (np.sqrt(w2)[:, None] * state.amplitude(t2[:, None], t1[None, :])
                 * np.sqrt(w1)[None, :])
     else:
-        h1 = (window1.t_end - window1.t_start) / n
-        h2 = (window2.t_end - window2.t_start) / n
-        t1 = window1.t_start + h1 * (np.arange(n) + 0.5)
-        t2 = window2.t_start + h2 * (np.arange(n) + 0.5)
+        h1 = (hi1 - lo1) / n
+        h2 = (hi2 - lo2) / n
+        t1 = lo1 + h1 * (np.arange(n) + 0.5)
+        t2 = lo2 + h2 * (np.arange(n) + 0.5)
         kern = state.amplitude(t2[:, None], t1[None, :])
         # cell cut by the support edge t1 = t2: weight by the covered
         # fraction, evaluated at the covered sub-cell's midpoint
-        jstar = np.floor((t2 - window1.t_start) / h1).astype(int)
+        jstar = np.floor((t2 - lo1) / h1).astype(int)
         inside = (jstar >= 0) & (jstar < n)
         rows = np.nonzero(inside)[0]
         cols = jstar[inside]
-        delta = t2[rows] - (window1.t_start + cols * h1)
-        mid = window1.t_start + cols * h1 + 0.5 * delta
+        delta = t2[rows] - (lo1 + cols * h1)
+        mid = lo1 + cols * h1 + 0.5 * delta
         kern[rows, cols] = state.amplitude(t2[rows], mid) * (delta / h1)
         kern *= math.sqrt(h1 * h2)
     sv = linalg.svdvals(np.asarray(kern, dtype=float))
@@ -748,24 +684,20 @@ def _schmidt_once_optimal(state, n, window1, window2):
     return sv, _entropy_from_weights(w), max(1.0 - float(np.sum(w)), 0.0)
 
 
-def schmidt_numeric(state, window1=None, window2=None, n=400,
-                    entropy_tol=1e-4, max_n=3200):
-    """Schmidt data by SVD of the square-root-of-weight discretized amplitude.
+def schmidt_numeric(state, n=400, entropy_tol=1e-4, max_n=3200):
+    """Schmidt data by SVD of the square-root-of-weight discretized amplitude
+    on n x n nodes over the state's supports.
 
     The grid doubles until the entropy moves less than entropy_tol between
     refinements; GridTooCoarseError is raised if max_n is reached first.
     """
-    if window1 is None:
-        window1 = TimeWindow(*state.support1())
-    if window2 is None:
-        window2 = TimeWindow(*state.support2())
-    sv, ent, trunc = _numeric_schmidt_once(state, n, window1, window2)
+    sv, ent, trunc = _numeric_schmidt_once(state, n)
     while True:
         n2 = 2 * n
         if n2 > max_n:
             raise GridTooCoarseError(
                 f"entropy not converged to {entropy_tol} at n={n}")
-        sv2, ent2, trunc2 = _numeric_schmidt_once(state, n2, window1, window2)
+        sv2, ent2, trunc2 = _numeric_schmidt_once(state, n2)
         if abs(ent2 - ent) <= entropy_tol:
             keep = sv2[sv2 > 1e-12]
             return SchmidtResult(keep, ent2, trunc2)
@@ -780,7 +712,6 @@ class SpectralDensities:
     marginal2: object
     sum_density: object
     diff_density: object
-    labels: dict = field(default_factory=dict)
 
 
 def _gaussian_density(sigma2):
@@ -805,23 +736,14 @@ def spectral_densities(state):
     product families are not covered.
     """
     if isinstance(state, EntangledGaussian):
-        return SpectralDensities(
-            marginal1=_gaussian_density(state.sigma_w2),
-            marginal2=_gaussian_density(state.sigma_w2),
-            sum_density=_pm_density(state.omega_plus),
-            diff_density=_pm_density(state.omega_minus),
-            labels={"sum_fwhm": 2 * math.sqrt(math.log(2)) * state.omega_plus,
-                    "diff_fwhm": 2 * math.sqrt(math.log(2)) * state.omega_minus},
-        )
+        return SpectralDensities(_gaussian_density(state.sigma_w2),
+                                 _gaussian_density(state.sigma_w2),
+                                 _pm_density(state.omega_plus),
+                                 _pm_density(state.omega_minus))
     if isinstance(state, OptimalState):
         a = state.atom
-        return SpectralDensities(
-            marginal1=_optimal.spectral_marginal_1(a),
-            marginal2=_optimal.spectral_marginal_2(a),
-            sum_density=_optimal.sum_diff_densities(a)[0],
-            diff_density=_optimal.sum_diff_densities(a)[1],
-            labels={"sum_fwhm": a.gamma_f,
-                    "diff_fwhm": a.gamma_f + 2 * a.gamma_e},
-        )
+        return SpectralDensities(_optimal.spectral_marginal_1(a),
+                                 _optimal.spectral_marginal_2(a),
+                                 *_optimal.sum_diff_densities(a))
     raise UnsupportedFamilyError(
         f"spectral densities not available for {type(state).__name__}")

@@ -70,9 +70,11 @@ def test_matches_fixed_step_oracle():
     rhs = lindblad_rhs(atom, d)
     y0 = np.zeros(9)
     y0[0] = 1.0
-    ts, ys = rk4_fixed_step(rhs, y0, window.t_start, window.t_end, 1e-4)
+    ts, ys = rk4_fixed_step(rhs, y0, window.t_start, window.t_end, 1e-3)
     idx = np.searchsorted(ts, traj.times)
     idx = np.clip(idx, 0, ts.size - 1)
+    # every sample time is an RK4 time, so no lookup is off by one step
+    assert np.max(np.abs(ts[idx] - traj.times)) <= 1e-12
     for col, ref in ((traj.rho_gg, ys[idx, 0]), (traj.rho_ee, ys[idx, 1]),
                      (traj.rho_ff, ys[idx, 2])):
         assert np.max(np.abs(col - ref)) < 1e-6
@@ -188,12 +190,15 @@ def test_stepper_step_underflow_raises():
 
 def test_rtol_below_floor_warns_and_is_floored():
     atom, d = Atom(1.0, 1.0), CoherentDrive(1.0, 1.0, 1.1, 1.7, 0.5)
+    floor = 100 * np.finfo(float).eps
     for route in (pf_max_coherent,
                   lambda *args, **tol: evolve(*args, **tol).matrices()):
         with pytest.warns(UserWarning, match="rtol"):
             low = route(atom, d, rtol=1e-17, atol=1e-8)
-        np.testing.assert_array_equal(
-            low, route(atom, d, rtol=100 * np.finfo(float).eps, atol=1e-8))
+        np.testing.assert_array_equal(low, route(atom, d, rtol=floor, atol=1e-8))
+    # the trajectory records the rtol it was integrated at
+    with pytest.warns(UserWarning, match="rtol"):
+        assert evolve(atom, d, rtol=1e-17, atol=1e-8).meta["rtol"] == floor
 
 
 def test_integration_failure_surfaces():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpaopt.model import Atom, TimeWindow
+from tpaopt.model import Atom
 from tpaopt.states import (FAMILIES, DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, GridTooCoarseError, OptimalState,
                            RisingExpProduct, SchmidtResult,
-                           UnsupportedFamilyError, WindowTooSmallError,
+                           UnsupportedFamilyError,
                            hermite_mode, norm_check, schmidt_analytic,
                            schmidt_numeric, spectral_densities)
-from conftest import random_state
+from conftest import random_atom, random_state
 
 
 def state_from_dict(d):
@@ -60,27 +60,29 @@ class TestAmplitudes:
 
 class TestNormalization:
     def test_gaussian_window_example(self):
-        res = norm_check(GaussianProduct(1.0, 1.0, 0.0),
-                         TimeWindow(-10.0, 10.0))
+        res = norm_check(GaussianProduct(1.0, 1.0, 0.0))
         assert abs(res - 1.0) < 1e-8
 
     def test_rising_window_example(self):
-        res = norm_check(RisingExpProduct(0.5, 1.5), TimeWindow(-80.0, 0.0 + 1e-9))
+        res = norm_check(RisingExpProduct(0.5, 1.5))
         assert abs(res - 1.0) < 1e-8
 
     def test_optimal_truncated_window(self):
-        res = norm_check(OptimalState(Atom(5.0, 1.0), 0.0),
-                         TimeWindow(-80.0, 1e-9))
+        res = norm_check(OptimalState(Atom(5.0, 1.0), 0.0))
         assert abs(res - 1.0) < 1e-8
-
-    def test_window_too_small(self):
-        with pytest.raises(WindowTooSmallError):
-            norm_check(GaussianProduct(1.0, 1.0, 0.0), TimeWindow(-2.0, 2.0))
 
     def test_all_families_random(self, rng):
         for _ in range(10):
             st_ = random_state(rng)
             assert abs(norm_check(st_) - 1.0) < 1e-8, st_
+
+
+def test_inner_scale_never_exceeds_t2_scale(rng):
+    # absorption._outer_edges sizes the t2 panels by inner_scale alone
+    for family in FAMILIES:
+        for _ in range(200):
+            st_, atom = random_state(rng, family), random_atom(rng)
+            assert st_.inner_scale(atom) <= st_.t2_scale(), (st_, atom)
 
 
 class TestSchmidtAnalytic:
