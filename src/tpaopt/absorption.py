@@ -33,7 +33,7 @@ from scipy.integrate import simpson
 from .model import Atom
 from .numutil import phi1, refine_max
 from .optimal import pmax_bound
-from .quadrature import gl_panels, integrate, panel_nodes, subdivide
+from .quadrature import gl_nodes, gl_panels, integrate, panel_nodes, subdivide
 from .states import OptimalState, UnsupportedFamilyError, delay_field
 
 
@@ -318,14 +318,21 @@ def _field_gradient(atom, state, t):
 # matched-filter inner product (resonant, t0 -> -inf)
 # ---------------------------------------------------------------------------
 
+_BLOCK_PAIRS = 1 << 14  # (t2, t1) node pairs per pass of `pf_inner_product`
+
+
 def pf_inner_product(atom: Atom, state, t_star):
     """P_f(t_star) as the squared overlap with the matched weight.
 
     The weight is the amplitude of the atom's matched state
     ``OptimalState(atom, t_star)``, bounded by sqrt(gamma_e*gamma_f). Valid
-    at resonance with the interaction starting in the infinite past;
-    evaluated with composite 32-point Gauss-Legendre panels, a route
-    independent of the adaptive nested quadrature.
+    at resonance with the interaction starting in the infinite past. An
+    oracle: it calls neither the fast route nor the adaptive quadrature.
+    Both integrals use 32-point Gauss-Legendre panels. The outer nodes share
+    one t1 grid, through the t1 kinks; the node t2 takes the panels below
+    min(t2, end of support 1), cutting the last one there. The weight times
+    ``state.amplitude`` is summed per outer node over blocks of whole
+    panels, about ``_BLOCK_PAIRS`` (t2, t1) node pairs each.
     """
     if not atom.resonant:
         raise NotResonantError("inner-product form requires delta1 = delta2 = 0")
@@ -337,21 +344,32 @@ def pf_inner_product(atom: Atom, state, t_star):
     if hi2 <= lo2:
         return 0.0
     lo1 = max(state.support1()[0], t_star - depth)
-    hi1_state = state.support1()[1]
     h2 = min(2.0 / (ge + gf), state.t2_scale()) / 1.5
-    edges2 = subdivide(lo2, hi2, h2, extra=_outer_breakpoints(state))
+    nodes2, half2, w = panel_nodes(
+        subdivide(lo2, hi2, h2, extra=_outer_breakpoints(state)), order=32)
+    t2 = nodes2.ravel()
+    hi1 = np.minimum(t2, state.support1()[1])  # inner limit per outer node
+    if hi1.max() <= lo1:
+        return 0.0
     h1 = min(2.0 / ge, state.t1_scale()) / 1.5
-
-    def inner(t2):
-        hi1 = min(t2, hi1_state)
-        if hi1 <= lo1:
-            return 0.0 + 0.0j
-        edges1 = subdivide(lo1, hi1, h1, extra=state.breakpoints1())
-        f = lambda t1: kern(t2, t1) * state.amplitude(t2, t1)
-        return gl_panels(f, edges1, order=32)
-
-    total = gl_panels(lambda t2: np.array([inner(float(tn)) for tn in t2]),
-                      edges2, order=32)
+    edges1 = subdivide(lo1, hi1.max(), h1, extra=state.breakpoints1())
+    # row i has the panels [e_k, min(e_k+1, hi1_i)] for e_k < hi1_i; all
+    # panels are numbered row after row, and a block takes the next numbers
+    n = np.searchsorted(edges1, hi1)
+    end = np.cumsum(n)
+    x, _ = gl_nodes(32)
+    inner = np.zeros(t2.size, dtype=complex)
+    step = max(1, _BLOCK_PAIRS // x.size)
+    for s in range(0, end[-1], step):
+        p = np.arange(s, min(s + step, end[-1]))  # panel numbers
+        r = np.searchsorted(end, p, side="right")  # their rows
+        k = p - end[r] + n[r]  # their places in the row
+        a, b = edges1[k], np.minimum(edges1[k + 1], hi1[r])
+        half = 0.5 * (b - a)
+        t1 = (0.5 * (a + b))[:, None] + half[:, None] * x
+        t2r = t2[r][:, None]
+        np.add.at(inner, r, half * ((kern(t2r, t1) * state.amplitude(t2r, t1)) @ w))
+    total = np.sum(half2 * (inner.reshape(nodes2.shape) @ w))
     return float(abs(total) ** 2)
 
 

@@ -119,17 +119,13 @@ def _gauss_inner_kernel(X, om, ge, d1, derivatives=False):
 
 
 class _Parametric:
-    """Validation, construction and dict form of a family from its fields."""
+    """Validation and dict form of a family from its fields."""
 
     def __post_init__(self):
         bad = [f"{n}={getattr(self, n)}" for n in width_names(type(self))
                if not getattr(self, n) > 0]
         if bad:
             raise ValueError(f"spectral widths must be positive, got {', '.join(bad)}")
-
-    @classmethod
-    def from_dict(cls, d):
-        return from_fields(cls, d)
 
     def to_dict(self):
         return {"family": self.family,
@@ -504,11 +500,6 @@ class OptimalState:
         return {"family": self.family, "gamma_e": self.atom.gamma_e,
                 "gamma_f": self.atom.gamma_f, "t_star": self.t_star,
                 "t0": None if not np.isfinite(self.t0) else self.t0}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(Atom(d["gamma_e"], d["gamma_f"]), d.get("t_star", 0.0),
-                   -np.inf if d.get("t0") is None else d["t0"])
 
 
 FAMILIES = {cls.family: cls for cls in (GaussianProduct, EntangledGaussian,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from tpaopt import absorption as ab
 from tpaopt.coherent import CoherentDrive
 from tpaopt.model import Atom
 from tpaopt.optimal import pmax_bound
-from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
+from tpaopt.states import (FAMILIES, DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, OptimalState, RisingExpProduct,
                            UnsupportedFamilyError)
 from conftest import (pf_brute_force, pf_compact, pf_quadrature, random_atom,
@@ -170,6 +171,46 @@ class TestInnerProduct:
         vals = kern(t[:, 0], t[:, 1])
         assert np.all(vals <= math.sqrt(atom.gamma_e * atom.gamma_f) + 1e-12)
         assert np.all(vals >= 0)
+
+    def test_independent_of_the_fast_route(self, monkeypatch):
+        # an oracle that shared the fast route's inner kernel would repeat
+        # its errors instead of catching them
+        atom = Atom(2.0, 1.0)
+        cases = [(GaussianProduct(1.1, 1.9, 1.2), 2.0),
+                 (EntangledGaussian(1.03, 10.82, 0.19), 1.0),
+                 (RisingExpProduct(*ab.rising_optimal_params(atom)), 0.0),
+                 (DecayingExpProduct(4.72070, 4.72814, -0.060423), 0.99243),
+                 (OptimalState(atom, t_star=0.4), 0.4)]
+        expected = [ab.pf_inner_product(atom, st, t) for st, t in cases]
+        assert min(expected) > 0.01
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the inner product called another route")
+
+        for name in ("decayed_inner", "curve_amplitudes", "integrate"):
+            monkeypatch.setattr(ab, name, refuse)
+        for cls in FAMILIES.values():
+            monkeypatch.setattr(cls, "decayed_inner", refuse)
+        assert [ab.pf_inner_product(atom, st, t) for st, t in cases] == expected
+
+    def test_blocks_that_split_rows(self, monkeypatch):
+        # test_cross_method_agreement's state, and a decaying pair whose
+        # second pulse starts first
+        cases = [(Atom(5.0, 1.0), EntangledGaussian(1.03, 10.82, 0.19), 1.0),
+                 (Atom(1.42341, 1.0),
+                  DecayingExpProduct(4.72070, 4.72814, -0.060423), 0.99243)]
+        default = [ab.pf_inner_product(*case) for case in cases]
+        tracemalloc.start()
+        try:
+            ab.pf_inner_product(*cases[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+        # one 32-node panel per block: every block boundary falls inside a row
+        monkeypatch.setattr(ab, "_BLOCK_PAIRS", 40)
+        for case, value in zip(cases, default):
+            assert ab.pf_inner_product(*case) == pytest.approx(value, rel=1e-15, abs=0)
 
 
 class TestMaxOverT:

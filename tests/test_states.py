@@ -8,7 +8,7 @@ from tpaopt.model import Atom
 from tpaopt.states import (FAMILIES, DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, GridTooCoarseError, OptimalState,
                            RisingExpProduct, SchmidtResult,
-                           UnsupportedFamilyError,
+                           UnsupportedFamilyError, from_fields,
                            hermite_mode, norm_check, schmidt_analytic,
                            schmidt_numeric, spectral_densities)
 from conftest import random_atom, random_state
@@ -21,7 +21,10 @@ def state_from_dict(d):
     except KeyError as exc:
         raise UnsupportedFamilyError(
             f"unknown family {d.get('family')!r}; choose from {', '.join(FAMILIES)}") from exc
-    return cls.from_dict(d)
+    if cls is OptimalState:
+        return OptimalState(Atom(d["gamma_e"], d["gamma_f"]), d.get("t_star", 0.0),
+                            -np.inf if d.get("t0") is None else d["t0"])
+    return from_fields(cls, d)
 
 
 class TestAmplitudes:
