@@ -6,7 +6,9 @@ routes are provided:
 
 * a reference route evaluating both integrals with adaptive Gauss-Kronrod
   quadrature in a time-shifted form whose exponents are all nonpositive on
-  the integration domain (mandatory for large rate*time products);
+  the integration domain (mandatory for large rate*time products); each
+  call of the outer integrand takes the inner integrals of all its nodes
+  from one lockstep batch (`integrate_batch`);
 * a fast route that takes the inner integral in closed form from the state
   family (`decayed_inner`; complex scaled error functions for the Gaussian
   families, elementary exponentials otherwise) and accumulates the outer
@@ -33,7 +35,8 @@ from scipy.integrate import simpson
 from .model import Atom
 from .numutil import phi1, refine_max
 from .optimal import pmax_bound
-from .quadrature import gl_nodes, gl_panels, integrate, panel_nodes, subdivide
+from .quadrature import (gl_nodes, gl_panels, integrate, integrate_batch, panel_nodes,
+                         subdivide)
 from .states import OptimalState, UnsupportedFamilyError, delay_field
 
 
@@ -138,35 +141,29 @@ def pf_at(atom: Atom, state, t, method="fast"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _inner_quadrature(atom, state, t2, rel_tol):
-    ge, d1 = atom.gamma_e, atom.delta1
-    lo1 = state.support1()[0]
-    hi1 = min(t2, state.support1()[1])
-    if hi1 <= lo1:
-        return 0.0 + 0.0j
-    f = lambda tau: np.exp(1j * d1 * tau - 0.5 * ge * (t2 - tau)) * state.amplitude(t2, tau)
-    bks = tuple(state.breakpoints1()) + (t2,)
-    return integrate(f, lo1, hi1, rel_tol=rel_tol, breakpoints=bks)
-
-
 def _pf_at_quadrature(atom, state, t, rel_tol):
-    gf, d2 = atom.gamma_f, atom.delta2
+    """The reference route: the outer integral over t2 by `integrate`, and
+    at each of its calls the inner integrals of all its nodes, to a tenth
+    of ``rel_tol``, by one `integrate_batch`."""
+    ge, gf, d1, d2 = atom.gamma_e, atom.gamma_f, atom.delta1, atom.delta2
     lo2 = state.support2()[0]
     hi2 = min(t, state.support2()[1])
     if hi2 <= lo2:
         return 0.0
-    cache = {}
+    lo1, end1 = state.support1()
+    bks = [tuple(state.breakpoints1())]
 
-    def g(t2):
-        key = float(t2)
-        if key not in cache:
-            cache[key] = _inner_quadrature(atom, state, key, rel_tol * 0.1)
-        return cache[key]
+    def outer(t2):
+        t2 = np.atleast_1d(t2)
 
-    def outer(t2_arr):
-        t2_arr = np.atleast_1d(t2_arr)
-        vals = np.array([g(x) for x in t2_arr])
-        return np.exp(1j * d2 * (t2_arr - t) - 0.5 * gf * (t - t2_arr)) * vals
+        def f(tau, k):
+            t2k = t2[k]
+            return np.exp(1j * d1 * tau - 0.5 * ge * (t2k - tau)) * state.amplitude(t2k, tau)
+
+        # an empty inner range [lo1, lo1] where t2 is at or below lo1
+        hi1 = np.maximum(np.minimum(t2, end1), lo1)
+        g = integrate_batch(f, np.full(t2.size, lo1), hi1, rel_tol * 0.1, bks * t2.size)
+        return np.exp(1j * d2 * (t2 - t) - 0.5 * gf * (t - t2)) * g
 
     o = integrate(outer, lo2, hi2, rel_tol=rel_tol,
                   breakpoints=_outer_breakpoints(state))

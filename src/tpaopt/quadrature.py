@@ -1,10 +1,13 @@
 """Adaptive Gauss-Kronrod quadrature for complex integrands.
 
 A 7-15 nested pair is applied per interval; intervals are bisected worst-first
-until the accumulated error estimate meets the tolerance. Integrands are
-evaluated vectorized over the 15 Kronrod nodes of each interval. Mandatory
+until the accumulated error estimate meets the tolerance. Mandatory
 breakpoints (support edges, kinks) seed the initial subdivision so piecewise
-smooth integrands converge at full order.
+smooth integrands converge at full order. One adaptive loop,
+`integrate_batch`, runs many integrals in lockstep: each keeps its own heap
+and stopping test, and every round evaluates the 15 Kronrod nodes of all the
+intervals it bisects in one vectorized integrand call. `integrate` is the
+batch of one.
 """
 
 import heapq
@@ -40,59 +43,92 @@ class QuadratureError(RuntimeError):
     """Adaptive refinement failed to reach the requested tolerance."""
 
 
-def _panel(f, a, b):
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES
-    y = np.asarray(f(x))
-    ik = half * np.sum(_WK_FULL * y)
-    ig = half * np.sum(_WG_FULL * y)
-    err = abs(ik - ig)
-    return ik, err
+def _panels(f, lo, hi, owner):
+    """Kronrod estimates and their distances to the embedded Gauss rule on
+    the intervals [lo[j], hi[j]] of the integrals owner[j], from one call
+    of f."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    y = np.asarray(f(x.ravel(), np.repeat(owner, _NODES.size)))
+    y = np.broadcast_to(y, (x.size,)).reshape(x.shape)
+    ik = half * np.sum(_WK_FULL * y, axis=1)
+    ig = half * np.sum(_WG_FULL * y, axis=1)
+    return ik, np.abs(ik - ig)
+
+
+def integrate_batch(f, a, b, rel_tol=1e-9, breakpoints=None, max_intervals=10_000):
+    """Integrate n integrands in lockstep, the i-th over [a[i], b[i]].
+
+    f(x, k) maps a float array of nodes x and the same-shaped integer array
+    k, the index of the integral each node belongs to, to the integrand
+    values. ``breakpoints`` is None or one sequence of mandatory points per
+    integral. Each integral keeps its own worst-first heap and stopping
+    test. A round bisects the worst interval of every unconverged integral
+    and evaluates all the halves in one call of f, so each integral takes
+    the bisections it would take alone and returns the same value bit for
+    bit.
+
+    Returns the n complex estimates: 0 where a == b, the negated integral
+    over [b, a] where b < a. Raises QuadratureError when an integral
+    exhausts ``max_intervals`` before its error estimate drops below
+    max(rel_tol * |integral|, 1e-14).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    heaps = [[] for _ in range(a.size)]
+    count = [0] * a.size
+    owner, plo, phi = [], [], []
+    for i, (lo, hi) in enumerate(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())):
+        if lo == hi:
+            continue
+        bks = () if breakpoints is None else breakpoints[i]
+        edges = [lo] + sorted({float(x) for x in bks if lo < x < hi}) + [hi]
+        owner += [i] * (len(edges) - 1)
+        plo += edges[:-1]
+        phi += edges[1:]
+
+    total = np.zeros(a.size, dtype=complex)
+    total_err = np.zeros(a.size)
+    if not owner:
+        return total
+    owner, lo, hi = np.array(owner), np.array(plo), np.array(phi)
+    vals, errs = _panels(f, lo, hi, owner)
+    # add.at adds in index order, as one integral's loop would
+    np.add.at(total, owner, vals)
+    np.add.at(total_err, owner, errs)
+    while True:
+        for i, e, lo_j, hi_j, v in zip(owner.tolist(), errs.tolist(), lo.tolist(),
+                                       hi.tolist(), vals.tolist()):
+            heapq.heappush(heaps[i], (-e, count[i], lo_j, hi_j, v))
+            count[i] += 1
+        todo = np.flatnonzero(total_err > np.maximum(rel_tol * np.abs(total), 1e-14))
+        if not todo.size:
+            return np.where(b < a, -1.0, 1.0) * total
+        for i in todo.tolist():
+            if count[i] >= max_intervals:
+                raise QuadratureError(
+                    f"quadrature did not converge within {max_intervals} "
+                    f"intervals (err={total_err[i]:.3e}, |I|={abs(total[i]):.3e})")
+        neg_err, _, lo, hi, val = (
+            np.array(c) for c in zip(*(heapq.heappop(heaps[i]) for i in todo.tolist())))
+        mid = 0.5 * (lo + hi)
+        # the two halves of each interval, in the order one integral pushes them
+        owner = np.repeat(todo, 2)
+        lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+        vals, errs = _panels(f, lo, hi, owner)
+        total[todo] += vals[0::2] + vals[1::2] - val
+        total_err[todo] += errs[0::2] + errs[1::2] - (-neg_err)
 
 
 def integrate(f, a, b, rel_tol=1e-9, breakpoints=(), max_intervals=10_000):
     """Integrate f over [a, b]; f maps a float array to a complex array.
 
-    Returns the integral estimate. Raises QuadratureError when the
-    subdivision budget is exhausted before the error estimate drops below
-    max(rel_tol * |integral|, 1e-14).
+    A batch of one (`integrate_batch`). Returns the integral estimate.
+    Raises QuadratureError when the subdivision budget is exhausted before
+    the error estimate drops below max(rel_tol * |integral|, 1e-14).
     """
-    if a == b:
-        return 0.0 + 0.0j
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    edges = [a] + sorted({float(x) for x in breakpoints if a < x < b}) + [b]
-
-    heap = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    n = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo, hi)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, n, lo, hi, val))
-        n += 1
-
-    while total_err > max(rel_tol * abs(total), 1e-14):
-        if n >= max_intervals:
-            raise QuadratureError(
-                f"quadrature did not converge within {max_intervals} "
-                f"intervals (err={total_err:.3e}, |I|={abs(total):.3e})"
-            )
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
-        total += v1 + v2 - val
-        total_err += e1 + e2 - (-neg_err)
-        heapq.heappush(heap, (-e1, n, lo, mid, v1))
-        n += 1
-        heapq.heappush(heap, (-e2, n, mid, hi, v2))
-        n += 1
-    return sign * total
+    return integrate_batch(lambda x, k: f(x), [a], [b], rel_tol,
+                           [breakpoints], max_intervals)[0]
 
 
 @lru_cache(maxsize=32)

@@ -33,7 +33,7 @@ from scipy.special import erfcx
 from . import optimal as _optimal
 from .model import Atom
 from .numutil import dphi1, phi1
-from .quadrature import integrate, panel_nodes
+from .quadrature import integrate, integrate_batch, panel_nodes
 
 # Effective-support truncation: amplitude envelopes are cut where they fall
 # below 1e-12 of their peak. For a Gaussian profile of temporal sigma s this
@@ -514,15 +514,14 @@ def norm_check(state):
     supports cut each envelope below 1e-12 of its peak.
     """
     lo1, hi1 = state.support1()
-    bk1 = state.breakpoints1()
+    bk1 = tuple(state.breakpoints1())
 
-    def inner(t2):
-        f = lambda t1: np.abs(state.amplitude(t2, t1)) ** 2
-        bks = tuple(bk1) + (t2,)
-        return integrate(f, lo1, hi1, rel_tol=1e-10, breakpoints=bks).real
-
-    def outer(t2_arr):
-        return np.array([inner(float(t2)) for t2 in np.atleast_1d(t2_arr)])
+    def outer(t2):
+        t2 = np.atleast_1d(t2)
+        f = lambda t1, k: np.abs(state.amplitude(t2[k], t1)) ** 2
+        n = t2.size
+        return integrate_batch(f, np.full(n, lo1), np.full(n, hi1), 1e-10,
+                               [bk1 + (x,) for x in t2.tolist()]).real
 
     val = integrate(outer, *state.support2(), rel_tol=1e-10,
                     breakpoints=state.breakpoints2())

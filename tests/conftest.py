@@ -21,7 +21,7 @@ from tpaopt.absorption import _pf_at_quadrature
 from tpaopt.coherent import _system_matrices
 from tpaopt.model import Atom
 from tpaopt.numutil import refine_max
-from tpaopt.quadrature import integrate
+from tpaopt.quadrature import integrate, integrate_batch
 from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, OptimalState, RisingExpProduct)
 
@@ -65,19 +65,17 @@ def pf_compact(atom, state, t, t0=-np.inf, rel_tol=1e-9):
     if hi2 <= lo2:
         return 0.0
     lo1 = max(state.support1()[0], t0)
+    bks = [tuple(state.breakpoints1())]
 
-    def g(t2):
-        hi1 = min(t2, state.support1()[1])
-        if hi1 <= lo1:
-            return 0.0 + 0.0j
-        f = lambda tau: np.exp((1j * d1 + 0.5 * ge) * tau) * state.amplitude(t2, tau)
-        return integrate(f, lo1, hi1, rel_tol=rel_tol * 0.1,
-                         breakpoints=tuple(state.breakpoints1()) + (t2,))
+    def outer(t2):
+        t2 = np.atleast_1d(t2)
 
-    def outer(t2_arr):
-        t2_arr = np.atleast_1d(t2_arr)
-        vals = np.array([g(x) for x in t2_arr])
-        return np.exp((1j * d2 + 0.5 * (gf - ge)) * t2_arr) * vals
+        def f(tau, k):
+            return np.exp((1j * d1 + 0.5 * ge) * tau) * state.amplitude(t2[k], tau)
+
+        hi1 = np.maximum(np.minimum(t2, state.support1()[1]), lo1)
+        g = integrate_batch(f, np.full(t2.size, lo1), hi1, rel_tol * 0.1, bks * t2.size)
+        return np.exp((1j * d2 + 0.5 * (gf - ge)) * t2) * g
 
     o = integrate(outer, lo2, hi2, rel_tol=rel_tol,
                   breakpoints=tuple(state.breakpoints2()) + tuple(state.breakpoints1()))

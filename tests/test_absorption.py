@@ -70,6 +70,29 @@ class TestPfAt:
             b = pf_compact(atom, st, t, rel_tol=1e-12)
             assert b == pytest.approx(a, rel=1e-10, abs=1e-13)
 
+    def test_reference_route_values_are_pinned(self):
+        # recorded bit for bit from the route that ran one adaptive
+        # integral per outer node: the inner integrals of a node batch
+        # take the same bisections, so every value is unchanged
+        atom = Atom(2.0, 1.0)
+        cases = [
+            (atom, GaussianProduct(1.1, 1.9, 1.2), 2.0,
+             0.3977904388731185, 0.3977904388731184),
+            (atom, EntangledGaussian(1.03, 10.82, 0.19), 1.0,
+             0.4633676708935106, 0.4633676708935106),
+            (atom, RisingExpProduct(*ab.rising_optimal_params(atom)), 0.0,
+             0.4536021822498802, 0.4536021822498802),
+            (atom, DecayingExpProduct(4.72070, 4.72814, -0.060423), 0.99243,
+             0.061490797852015076, 0.06149079785201511),
+            (atom, OptimalState(atom, t_star=0.4), 0.4,
+             0.9999999999999879, 0.9999999999999882),
+            (Atom(2.0, 1.0, 0.7, -0.4), GaussianProduct(1.1, 1.9, 1.2), 2.0,
+             0.3140229058962051, 0.3140229058962052),
+        ]
+        for at, st, t, p9, p11 in cases:
+            assert ab._pf_at_quadrature(at, st, t, 1e-9) == p9
+            assert ab._pf_at_quadrature(at, st, t, 1e-11) == p11
+
     def test_compact_method_rejected(self):
         # the compact form is a test oracle (conftest.pf_compact), not a route
         with pytest.raises(ValueError):
@@ -187,7 +210,7 @@ class TestInnerProduct:
         def refuse(*args, **kwargs):
             raise AssertionError("the inner product called another route")
 
-        for name in ("decayed_inner", "curve_amplitudes", "integrate"):
+        for name in ("decayed_inner", "curve_amplitudes", "integrate", "integrate_batch"):
             monkeypatch.setattr(ab, name, refuse)
         for cls in FAMILIES.values():
             monkeypatch.setattr(cls, "decayed_inner", refuse)
