@@ -27,7 +27,7 @@ algebraic derivations and serve as mutual cross-checks.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import simpson
@@ -182,7 +182,6 @@ class ExcitationCurve:
     probabilities: np.ndarray
     t_at_max: float
     p_max: float
-    meta: dict = field(default_factory=dict)
 
 
 def excitation_curve(atom: Atom, state, n_times=200):
@@ -196,10 +195,7 @@ def excitation_curve(atom: Atom, state, n_times=200):
         raise ValueError(f"a scan needs at least 2 times, got {n_times}")
     times = np.linspace(*scan_bounds(atom, state), n_times)
     t_max, p_max, probs = _max_with_scan(atom, state, times)
-    return ExcitationCurve(times, probs, t_max, p_max,
-                           meta={"state": state.to_dict(),
-                                 "gamma_e": atom.gamma_e, "gamma_f": atom.gamma_f,
-                                 "delta1": atom.delta1, "delta2": atom.delta2})
+    return ExcitationCurve(times, probs, t_max, p_max)
 
 
 def _max_with_scan(atom, state, times):
@@ -232,22 +228,16 @@ def _max_with_scan(atom, state, times):
 
     def trial(k):
         a, amp_a = ts[k], os_[k]
-        edges = scan_edges[(scan_edges > a) & (scan_edges < ts[k + 1])]
+        edges = np.append(a, scan_edges[(scan_edges > a) & (scan_edges < ts[k + 1])])
 
         def at(t):
+            amp, g_t = amp_a * np.exp(c2 * (a - t)), 0.0  # G = 0 past the support end
             seg_hi = min(t, hi2)
-            seg = np.concatenate(([a], edges[edges < seg_hi], [seg_hi])) \
-                if seg_hi > a else ()
-            g_t = 0.0  # stays 0 past the support end, where no panel is left
-
-            def f(t2):
-                nonlocal g_t
-                # G at the panel nodes and at t itself in one kernel call
-                g = inner(np.append(t2, t))
-                g_t = g[-1]
-                return np.exp(c2 * (t2 - t)) * g[:-1]
-
-            amp = amp_a * np.exp(c2 * (a - t)) + gl_panels(f, seg, order=24)
+            if seg_hi > a:
+                nodes, half, w = panel_nodes(np.append(edges[edges < seg_hi], seg_hi))
+                g = inner(np.append(nodes.ravel(), t))  # G at the nodes and at t, one call
+                vals = np.exp(c2 * (nodes - t)) * g[:-1].reshape(nodes.shape)
+                amp, g_t = amp + np.sum(half * (vals @ w)), g[-1]
             return slope(amp, g_t), float(_pf_from_amp(atom, abs(amp)))
 
         return at

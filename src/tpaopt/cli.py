@@ -232,7 +232,7 @@ def cmd_coherent(cfg):
                  ["t*gamma_f", "rho_gg", "rho_ee", "rho_ff", "re_rho_ge", "im_rho_ge",
                   "re_rho_gf", "im_rho_gf", "re_rho_ef", "im_rho_ef"],
                  zip(traj.times, *rho))
-    tm, pm = coherent.pf_max_coherent(atom, drive)
+    tm, pm = coherent.pf_max_coherent(atom, drive, rtol=traj.meta["rtol"])
     print(f"p_max = {pm:.9g} at t*gamma_f = {tm:.9g}")
     return 0
 

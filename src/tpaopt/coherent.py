@@ -23,6 +23,7 @@ from scipy.integrate import solve_ivp  # noqa: F401
 
 from .model import Atom, TimeWindow
 from .numutil import refine_max
+from .states import GaussianProduct
 
 
 class IntegrationError(RuntimeError):
@@ -48,15 +49,9 @@ class CoherentDrive:
             raise ValueError("spectral widths must be positive, "
                              f"got omega1={self.omega1}, omega2={self.omega2}")
 
-    def envelope1(self, t):
-        t = np.asarray(t, dtype=float)
-        return (self.omega1**2 / (2 * np.pi)) ** 0.25 * np.exp(
-            -self.omega1**2 * t**2 / 4.0)
-
-    def envelope2(self, t):
-        t = np.asarray(t, dtype=float)
-        return (self.omega2**2 / (2 * np.pi)) ** 0.25 * np.exp(
-            -self.omega2**2 * (t - self.mu) ** 2 / 4.0)
+    # the Gaussian product's pulses, borrowed: a drive is no two-photon state
+    envelope1 = GaussianProduct.profile1
+    envelope2 = GaussianProduct.profile2
 
     def envelope_derivatives(self, t):
         """Derivatives of envelope1 (row 0) and envelope2 (row 1) by

@@ -119,7 +119,7 @@ def _gauss_inner_kernel(X, om, ge, d1, derivatives=False):
 
 
 class _Parametric:
-    """Validation and dict form of a family from its fields."""
+    """Validation, dict form and photon-1 kink of a family from its fields."""
 
     def __post_init__(self):
         bad = [f"{n}={getattr(self, n)}" for n in width_names(type(self))
@@ -130,6 +130,10 @@ class _Parametric:
     def to_dict(self):
         return {"family": self.family,
                 **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    def breakpoints1(self):
+        # photon 1's time origin is t = 0 in every parametric family
+        return (0.0,)
 
 
 class _Product(_Parametric):
@@ -173,9 +177,6 @@ class GaussianProduct(_Product):
     def support2(self):
         w = _GAUSS_CUT / self.omega2
         return (self.mu - w, self.mu + w)
-
-    def breakpoints1(self):
-        return (0.0,)
 
     def breakpoints2(self):
         return (self.mu,)
@@ -242,9 +243,6 @@ class EntangledGaussian(_Parametric):
     def support2(self):
         w = _GAUSS_CUT * math.sqrt(self.sigma_t2)
         return (self.mu - w, self.mu + w)
-
-    def breakpoints1(self):
-        return (0.0,)
 
     def breakpoints2(self):
         return (self.mu,)
@@ -320,9 +318,6 @@ class RisingExpProduct(_Product):
     def support2(self):
         return (-_EXP_CUT / self.omega2, 0.0)
 
-    def breakpoints1(self):
-        return (0.0,)
-
     def breakpoints2(self):
         return (0.0,)
 
@@ -370,9 +365,6 @@ class DecayingExpProduct(_Product):
 
     def support2(self):
         return (self.t_shift, self.t_shift + _EXP_CUT / self.omega2)
-
-    def breakpoints1(self):
-        return (0.0,)
 
     def breakpoints2(self):
         return (self.t_shift,)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tpaopt.absorption as absorption
+import tpaopt.coherent as coherent
 import tpaopt.optimize as opt
 from tpaopt.cli import _preset_path, build_parser, load_config, main
 from tpaopt.model import Atom
@@ -135,6 +136,17 @@ def test_coherent_command(tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     data = [l for l in lines if not l.startswith("#")]
     assert len(data) == 102
+
+
+def test_coherent_maximum_uses_the_trajectory_tolerance(tmp_path, capsys):
+    # --tol 1e-12 integrates the trajectory at rtol 1e-11; the printed
+    # maximum must come from the same tolerance, not from rtol 1e-8
+    main(["coherent", "--gamma-ratio", "1", "--n1", "1", "--n2", "1",
+          "--omega1", "1", "--omega2", "1.5", "--tol", "1e-12", "--n-times", "11",
+          "--out", str(tmp_path)])
+    tm, pm = coherent.pf_max_coherent(Atom(1.0, 1.0), coherent.CoherentDrive(1, 1, 1, 1.5),
+                                      rtol=1e-11)
+    assert capsys.readouterr().out.strip() == f"p_max = {pm:.9g} at t*gamma_f = {tm:.9g}"
 
 
 def test_coherent_empty_drive_zero_column(tmp_path):
