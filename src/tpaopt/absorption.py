@@ -13,7 +13,8 @@ routes are provided:
   family (`decayed_inner`; complex scaled error functions for the Gaussian
   families, elementary exponentials otherwise) and accumulates the outer
   integral over Gauss-Legendre panels, sized by the family's time scales,
-  with per-step exponential rebalancing.
+  with per-step exponential rebalancing; a sample time between panel edges
+  is read off its panel's Legendre antiderivative.
 
 On both routes the interaction starts in the infinite past; a state that
 starts at a finite time carries that start in its own support, as the
@@ -30,13 +31,14 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 from scipy.integrate import simpson
 
 from .model import Atom
 from .numutil import phi1, refine_max
 from .optimal import pmax_bound
-from .quadrature import (gl_nodes, gl_panels, integrate, integrate_batch, panel_nodes,
-                         subdivide)
+from .quadrature import (gl_antiderivative, gl_nodes, gl_panels, integrate, integrate_batch,
+                         panel_nodes, subdivide)
 from .states import OptimalState, UnsupportedFamilyError, delay_field
 
 
@@ -82,11 +84,16 @@ def curve_amplitudes(atom: Atom, state, times):
     """Outer complex amplitudes O(t_k); P_f(t_k) = ge*gf*|O(t_k)|^2.
 
     The amplitudes accumulate forward in time up to the last time, so
-    ``times`` that are not strictly ascending raise ValueError. Panel
-    integrals are anchored at their right edges and accumulated with
-    per-step decay factors, so every exponential stays bounded by one
-    regardless of rate*time products. The inner integral is evaluated in a
-    single vectorized call over all panel nodes.
+    ``times`` that are not strictly ascending raise ValueError. The outer
+    panels come from the state's scales alone (`_outer_edges` up to the
+    last time or the support end), so the inner integral is evaluated in one
+    vectorized call over their nodes, however many times are asked for.
+    Panel integrals are anchored at their right edges and accumulated with
+    per-step decay factors of modulus <= 1. A time on an edge takes the sum
+    accumulated there. A time t inside the panel [a, b] carries the sum at
+    a to t and adds the panel's node interpolant integrated from a to t,
+    read off its Legendre antiderivative (`gl_antiderivative`) and rescaled
+    by e^{c2 (b - t)}, whose modulus is at most e^{gf h_max / 2} <= e^2.
     """
     c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
     times = np.asarray(times, dtype=float)
@@ -97,9 +104,7 @@ def curve_amplitudes(atom: Atom, state, times):
     t_hi = min(times[-1], hi2)
     if t_hi <= lo2:
         return out
-    inside = (times > lo2) & (times <= t_hi)
     edges = _outer_edges(atom, state, lo2, t_hi)
-    edges = np.unique(np.concatenate([edges, times[inside]]))
 
     nodes, half, w = panel_nodes(edges)
     vals = (np.exp(c2 * (nodes - edges[1:, None]))
@@ -108,14 +113,24 @@ def curve_amplitudes(atom: Atom, state, times):
 
     # sequential accumulation; every step factor has modulus <= 1
     decay = np.exp(c2 * (edges[:-1] - edges[1:]))
-    acc = np.empty(panel.size, dtype=complex)
+    acc = np.zeros(panel.size + 1, dtype=complex)  # acc[j]: the sum at edges[j]
     run = 0.0 + 0.0j
     for j in range(panel.size):
         run = run * decay[j] + panel[j]
-        acc[j] = run
+        acc[j + 1] = run
 
-    idx = np.searchsorted(edges, times[inside])  # times are edges: edges[idx] == t
-    out[inside] = acc[idx - 1]
+    inside = np.flatnonzero((times > lo2) & (times <= t_hi))
+    t = times[inside]
+    idx = np.searchsorted(edges, t)
+    on_edge = edges[idx] == t
+    out[inside[on_edge]] = acc[idx[on_edge]]
+    t, j = t[~on_edge], idx[~on_edge] - 1  # t inside the panel [edges[j], edges[j+1]]
+    a, b = edges[j], edges[j + 1]
+    # Legendre coefficients of each panel's node interpolant integrated from its left edge
+    coef = vals @ gl_antiderivative(w.size).T
+    u = (t - a) / half[j] - 1.0
+    part = half[j] * np.sum(legvander(u, w.size) * coef[j], axis=1)
+    out[inside[~on_edge]] = acc[j] * np.exp(c2 * (a - t)) + np.exp(c2 * (b - t)) * part
     beyond = times > t_hi
     if np.any(beyond):
         out[beyond] = acc[-1] * np.exp(c2 * (t_hi - times[beyond]))
@@ -450,7 +465,8 @@ def pf_optimal_closed_form(atom: Atom, t, t_star=0.0, t0=-np.inf):
 
 def residence_time(atom: Atom, state):
     """Time integral of P_f: Simpson's rule on 4000 times over the support,
-    plus the exact decay tail.
+    plus the exact decay tail. The 4000 times cost one kernel pass over the
+    outer panels (`curve_amplitudes`), not a panel per time.
 
     Beyond the amplitude support the probability decays exactly as
     e^{-gamma_f t}, so the tail contributes P(end)/gamma_f.

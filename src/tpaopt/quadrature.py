@@ -148,6 +148,31 @@ def panel_nodes(edges, order=24):
     return mid[:, None] + half[:, None] * x[None, :], half, w
 
 
+@lru_cache(maxsize=32)
+def gl_antiderivative(order):
+    """Matrix A of shape (order + 1, order): with f the values at the
+    ``order`` Gauss-Legendre nodes, A @ f are the Legendre coefficients of
+    F(u) = int_{-1}^u p, p the nodes' interpolant of f (spectral
+    integration; Greengard, SIAM J. Numer. Anal. 28 (1991) 1071). So
+    F(u) = legvander(u, order) @ (A @ f), F(-1) = 0 and F(1) = w @ f.
+    Shared like `gl_nodes`: read only.
+
+    p = sum_n c_n P_n with c_n = (n + 1/2) sum_k w_k P_n(x_k) f_k, exact by
+    the rule's discrete orthogonality; then int_{-1}^u P_0 = P_0 + P_1 and
+    int_{-1}^u P_n = (P_{n+1} - P_{n-1}) / (2n + 1).
+    """
+    x, w = gl_nodes(order)
+    n = np.arange(order)
+    c = (n[:, None] + 0.5) * w * np.polynomial.legendre.legvander(x, order - 1).T
+    d = np.zeros((order + 1, order))
+    d[0, 0] = d[1, 0] = 1.0
+    d[n[1:] + 1, n[1:]] = 1.0 / (2 * n[1:] + 1)
+    d[n[1:] - 1, n[1:]] = -1.0 / (2 * n[1:] + 1)
+    a = d @ c
+    a.flags.writeable = False
+    return a
+
+
 def gl_panels(f, edges, order=24):
     """Fixed-order Gauss-Legendre over consecutive [edges[i], edges[i+1]].
 

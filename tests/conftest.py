@@ -8,7 +8,9 @@ unshifted compact form under adaptive quadrature. The master equation's
 right-hand side `lindblad_rhs` and scipy's ``solve_ivp`` live only among
 these oracles: the package integrates the master equation with its own
 Dormand-Prince stepper, and `solve_ivp_reference` is the reference for both
-its trajectories and its maxima.
+its trajectories and its maxima. `curve_amplitudes_time_split` keeps the
+fast route's earlier sampling, every time a panel edge, as the reference for
+the times read off each panel's antiderivative.
 """
 
 import math
@@ -17,13 +19,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from tpaopt.absorption import _pf_at_quadrature
+from tpaopt.absorption import _outer_edges, _pf_at_quadrature, decayed_inner
 from tpaopt.coherent import _system_matrices
 from tpaopt.model import Atom
 from tpaopt.numutil import refine_max
-from tpaopt.quadrature import integrate, integrate_batch
+from tpaopt.quadrature import integrate, integrate_batch, panel_nodes
 from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, OptimalState, RisingExpProduct)
+from tpaopt.sweeps import _blas_pools
 
 
 def pf_brute_force(atom, amplitude, t, lo, n=2000, richardson=True):
@@ -86,6 +89,37 @@ def pf_quadrature(atom, state, t, rel_tol):
     """`pf_at`'s reference route (nested adaptive quadrature) at a
     tolerance tighter than the 1e-9 that `pf_at` uses."""
     return _pf_at_quadrature(atom, state, t, rel_tol)
+
+
+def curve_amplitudes_time_split(atom, state, times):
+    """The fast route's outer amplitudes with every time inside the support
+    made a panel edge, as `curve_amplitudes` computed them before it read
+    the times off each panel's antiderivative: each time adds a panel, and
+    its amplitude is the accumulated sum at its edge."""
+    c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
+    times = np.asarray(times, dtype=float)
+    lo2, hi2 = state.support2()
+    out = np.zeros(times.size, dtype=complex)
+    t_hi = min(times[-1], hi2)
+    if t_hi <= lo2:
+        return out
+    inside = (times > lo2) & (times <= t_hi)
+    edges = _outer_edges(atom, state, lo2, t_hi)
+    edges = np.unique(np.concatenate([edges, times[inside]]))
+    nodes, half, w = panel_nodes(edges)
+    vals = (np.exp(c2 * (nodes - edges[1:, None]))
+            * decayed_inner(atom, state, nodes.ravel()).reshape(nodes.shape))
+    panel = half * (vals @ w)
+    decay = np.exp(c2 * (edges[:-1] - edges[1:]))
+    acc = np.empty(panel.size, dtype=complex)
+    run = 0.0 + 0.0j
+    for j in range(panel.size):
+        run = run * decay[j] + panel[j]
+        acc[j] = run
+    out[inside] = acc[np.searchsorted(edges, times[inside]) - 1]
+    beyond = times > t_hi
+    out[beyond] = acc[-1] * np.exp(c2 * (t_hi - times[beyond]))
+    return out
 
 
 def rk4_fixed_step(rhs, y0, t0, t1, dt):
@@ -193,6 +227,19 @@ def random_atom(rng, resonant=False):
 def strip_timestamp(text):
     return "\n".join(l for l in text.splitlines()
                      if not l.startswith("# generated:"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """The suite runs the loaded OpenBLAS builds on one thread, as the
+    `--jobs` pool workers do, and restores the caller's counts at the end."""
+    pools = _blas_pools()
+    counts = [get() for get, _ in pools]
+    for _, set_threads in pools:
+        set_threads(1)
+    yield
+    for (_, set_threads), n in zip(pools, counts):
+        set_threads(n)
 
 
 @pytest.fixture

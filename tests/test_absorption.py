@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,8 @@ from tpaopt.optimal import pmax_bound
 from tpaopt.states import (FAMILIES, DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, OptimalState, RisingExpProduct,
                            UnsupportedFamilyError)
-from conftest import (pf_brute_force, pf_compact, pf_quadrature, random_atom,
-                      random_state)
+from conftest import (curve_amplitudes_time_split, pf_brute_force, pf_compact,
+                      pf_quadrature, random_atom, random_state)
 
 
 class TestPfAt:
@@ -258,28 +261,38 @@ class TestMaxOverT:
         assert abs(tm) < 1e-3
 
     def test_maxima_are_pinned(self):
-        # recorded bit for bit from the refiner whose trial integrated its
-        # panels through gl_panels; the rising pair and the matched state
-        # peak at their support end, which the refiner takes as a sample
+        # recorded bit for bit from the scan that reads its times off each
+        # outer panel's Legendre antiderivative; the rising pair and the
+        # matched state peak at their support end, which the refiner takes
+        # as a sample. (t*, p_max) before, when every scan time was a panel
+        # edge, bound the move: p_max by 1e-14 relative, t* by the
+        # refiner's xtol 1e-6/gamma_f
         atom = Atom(2.0, 1.0)
         cases = [
             (atom, GaussianProduct(1.1, 1.9, 1.2), 1.928995239142264, 0.39955002365222153,
-             [0.06310658432803158, 0.004402272870424391, -0.11927167341962289]),
+             [0.06310658432803158, 0.004402272870424391, -0.11927167341962289],
+             (1.928995239142264, 0.39955002365222153)),
             (atom, EntangledGaussian(1.03, 10.82, 0.19), 1.2086640515132085,
-             0.4745949347098091,
-             [-0.0008406831577395459, -0.00952902403488478, 0.8413723362689152]),
-            (atom, RisingExpProduct(0.5, 1.5), 0.0, 0.42666666666666675,
-             [0.22755555555555573, 1.249925746149317e-16]),
+             0.4745949347098089,
+             [-0.0008406831577395459, -0.00952902403488478, 0.8413723362689152],
+             (1.2086640515132085, 0.4745949347098091)),
+            (atom, RisingExpProduct(0.5, 1.5), 0.0, 0.4266666666666659,
+             [0.22755555555555573, 1.249925746149317e-16],
+             (0.0, 0.42666666666666675)),
             (atom, DecayingExpProduct(0.9, 2.3, 0.4), 1.7807182721391337,
-             0.17953856758812586,
-             [0.09617139262471047, -0.03673301293817639, 0.15365218081580262]),
-            (Atom(2.0, 1.0, 0.7, -0.4), GaussianProduct(1.1, 1.9, 1.2), 1.9017420135944194,
-             0.316684414474994,
-             [0.09810185618961229, 0.003336484005673981, -0.12071121741988844]),
+             0.17953856758812575,
+             [0.09617139262471047, -0.03673301293817639, 0.15365218081580262],
+             (1.7807182721391337, 0.17953856758812586)),
+            (Atom(2.0, 1.0, 0.7, -0.4), GaussianProduct(1.1, 1.9, 1.2), 1.901742013594419,
+             0.3166844144749943,
+             [0.09810185618961241, 0.003336484005674056, -0.12071121741988876],
+             (1.9017420135944194, 0.316684414474994)),
         ]
-        for at, st, tm, pm, grad in cases:
+        for at, st, tm, pm, grad, (tm_split, pm_split) in cases:
             t_max, p_max, g = ab.pf_max_over_t(at, st, gradient=True)
             assert (t_max, p_max, g.tolist()) == (tm, pm, grad)
+            assert abs(p_max - pm_split) <= 1e-14 * pm_split
+            assert abs(t_max - tm_split) <= 1e-6 / at.gamma_f
         assert ab.pf_max_over_t(atom, OptimalState(atom, t_star=0.4)) == (0.4, 1.0000000000000002)
 
     def test_truncated_optimal_hits_bound(self, rng):
@@ -605,6 +618,97 @@ class TestExcitationCurve:
                "repeated": np.append(times, times[-1])}[order]
         with pytest.raises(ValueError, match="strictly ascending"):
             ab.curve_amplitudes(atom, st, bad)
+
+
+def _state_eval_cases(seeds=(1, 2, 3)):
+    """The (atom, state) pairs of the benchmark's `state-eval` workload."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))  # workloads imports its sibling oracles
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(bench))
+    return [op for seed in seeds for op in workloads.StateEval(seed).ops]
+
+
+def _curve_time_sets(atom, st):
+    """Scans of 1, 2, 200 and 4000 times over the transient bracket, and
+    one set with every outer edge, the panel midpoints, hi2, a time before
+    lo2 and two past hi2."""
+    lo, hi = ab.scan_bounds(atom, st)
+    lo2, hi2 = st.support2()
+    edges = ab._outer_edges(atom, st, lo2, hi2)
+    special = np.concatenate([[lo2 - 1.0], edges, 0.5 * (edges[1:] + edges[:-1]),
+                              [hi2 + 0.5, hi2 + 3.0]])
+    return ([np.array([0.5 * (lo + hi)])]
+            + [np.linspace(lo, hi, n) for n in (2, 200, 4000)] + [np.unique(special)])
+
+
+def _largest_move(atom, st):
+    """Largest |P_f - P_f(time-split reference)| over `_curve_time_sets`,
+    relative to the reference's largest P_f."""
+    worst = 0.0
+    for times in _curve_time_sets(atom, st):
+        new = ab._pf_from_amp(atom, np.abs(ab.curve_amplitudes(atom, st, times)))
+        ref = ab._pf_from_amp(atom, np.abs(curve_amplitudes_time_split(atom, st, times)))
+        scale = ref.max()
+        move = np.max(np.abs(new - ref))
+        worst = max(worst, move / scale if scale > 0 else (0.0 if move == 0 else np.inf))
+    return worst
+
+
+class TestCurveAmplitudes:
+    """Sample times read off each outer panel's Legendre antiderivative,
+    against the reference that makes every time a panel edge."""
+
+    def test_matches_time_split_reference_on_seeded_states(self, rng):
+        cases = [(random_atom(rng, resonant=i % 2 == 0), random_state(rng))
+                 for i in range(300)]
+        worst = max(_largest_move(atom, st) for atom, st in cases + _state_eval_cases())
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("atom,st,t0", _BOX)
+    def test_matches_time_split_reference_over_the_box(self, atom, st, t0):
+        assert _largest_move(atom, st) <= 1e-10
+
+    def test_one_time_is_bitwise_the_reference(self, rng):
+        # pf_at's single time is the last outer edge, or lies past hi2
+        for i in range(100):
+            atom, st = random_atom(rng, resonant=i % 2 == 0), random_state(rng)
+            lo, hi = ab.scan_bounds(atom, st)
+            for t in (*rng.uniform(lo, hi, size=3), st.support2()[1], hi):
+                ref = curve_amplitudes_time_split(atom, st, np.array([t]))[0]
+                assert ab.pf_at(atom, st, t) == float(ab._pf_from_amp(atom, abs(ref)))
+
+    def test_kernel_nodes_do_not_grow_with_the_times(self, monkeypatch):
+        atom, st = Atom(2.0, 1.0, 0.3, -0.2), EntangledGaussian(1.03, 10.82, 0.19)
+        kernel, nodes = ab.decayed_inner, []
+
+        def counted(atom, state, t2, derivatives=False):
+            nodes[-1] += np.size(t2)
+            return kernel(atom, state, t2, derivatives)
+
+        monkeypatch.setattr(ab, "decayed_inner", counted)
+        for n in (2, 200, 4000):
+            nodes.append(0)
+            ab.curve_amplitudes(atom, st, np.linspace(*ab.scan_bounds(atom, st), n))
+        assert nodes[0] > 0
+        assert nodes == [nodes[0]] * 3
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the routes disagree on the "
+                   "widest entangled state of the search box")
+def test_fast_matches_quadrature_on_the_widest_entangled_state():
+    # at t* = 2.0008 the fast route reads 3.99e-6, the quadrature route
+    # 1.60e-6 and the inner product 4.20e-6; at t = 547.7 they read 2.97e-6,
+    # 5.6e-242 and 3.35e-6
+    atom, st = Atom(1.0, 1.0), EntangledGaussian(1e-3, 1e3, 0.0)
+    t, _ = ab.pf_max_over_t(atom, st)
+    assert ab.pf_at(atom, st, t) == pytest.approx(ab._pf_at_quadrature(atom, st, t, 1e-9),
+                                                  rel=1e-9)
 
 
 @pytest.mark.parametrize("family", ["gaussian_product", "entangled_gaussian",

@@ -133,12 +133,20 @@ def _blas_threads(_):
 
 
 def test_pool_runs_one_blas_thread_and_restores_the_callers():
-    before = _blas_threads(None)
-    if not before:
+    pools = sweeps._blas_pools()
+    if not pools:
         pytest.skip("no OpenBLAS from the scipy or numpy wheels is loaded")
-    seen = _run(range(4), _blas_threads, 2)
-    assert seen == [[1] * len(before)] * 4
-    assert _blas_threads(None) == before
+    # the suite runs one thread (conftest); a caller's 2 tells restoring apart
+    counts = _blas_threads(None)
+    for _, set_threads in pools:
+        set_threads(2)
+    try:
+        seen = _run(range(4), _blas_threads, 2)
+        assert seen == [[1] * len(pools)] * 4
+        assert _blas_threads(None) == [2] * len(pools)
+    finally:
+        for (_, set_threads), n in zip(pools, counts):
+            set_threads(n)
 
 
 def test_pool_runs_without_a_blas_to_limit(monkeypatch):
