@@ -516,12 +516,16 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand. OpenBLAS runs one thread while it does: the
+    package's matrices are small, and helper threads only add wake-ups.
+    The caller's thread counts are restored on the way out."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.cmd][0](_effective(args))
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
+    with sweeps._one_blas_thread():
+        try:
+            return _COMMANDS[args.cmd][0](_effective(args))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ independent components (three populations, three coherences) form a linear
 Both `evolve` (the sampled trajectory) and `pf_max_coherent` (the maximum of
 rho_ff) integrate it with one Dormand-Prince 5(4) stepper written for the
 linear system, with RK45's tableau and step control, which builds each
-step's stage generators in one matrix product. On request the stepper also
-carries the forward sensitivities dy/d(omega1, omega2, mu) through each
-accepted step's stages, which give the gradient of the maximum.
+step's stage generators in one matrix product. The stepper steps y alone and
+keeps each accepted step's stages; the gradient of the maximum,
+dy/d(omega1, omega2, mu) at the maximum's time, comes from one batched pass
+over those stages (`_sensitivity_at`).
 """
 
 import math
@@ -127,22 +128,6 @@ def _generators(atom: Atom, drive: CoherentDrive):
     return at
 
 
-def _generator_derivatives(atom: Atom, drive: CoherentDrive):
-    """times -> stack of dM/dtheta, theta = (omega1, omega2, mu), with the
-    three 9x9 blocks stacked into rows: shape (len(times), 27, 9)."""
-    basis = np.stack(_system_matrices(atom)[1:]).reshape(2, 81)
-    c1 = math.sqrt(atom.gamma_e * drive.n1)
-    c2 = math.sqrt(atom.gamma_f * drive.n2)
-
-    def at(ts):
-        coef = drive.envelope_derivatives(ts)
-        coef[0] *= c1
-        coef[1] *= c2
-        return (coef.T @ basis).reshape(-1, 27, 9)
-
-    return at
-
-
 @dataclass(frozen=True)
 class DensityTrajectory:
     """Sampled density-matrix components; trace preserved to 1e-8."""
@@ -182,8 +167,8 @@ def evolve(atom: Atom, drive: CoherentDrive, window: TimeWindow | None = None,
     """
     if window is None:
         window = drive.default_window(atom)
-    steps, _ = _dormand_prince(_generators(atom, drive), window.t_start,
-                               window.t_end, rtol, atol)
+    steps = _dormand_prince(_generators(atom, drive), window.t_start,
+                            window.t_end, rtol, atol)
     ts = window.grid()
     y = steps(ts).T
     return DensityTrajectory(
@@ -213,25 +198,29 @@ def _rms(x):
 
 @dataclass(frozen=True)
 class _Steps:
-    """Accepted steps: ends t (n+1,), states y (n+1, k), dense q (n, k, 4)."""
+    """Accepted steps: ends t (n+1,), states y (n+1, k), dense q (n, k, 4)
+    and stages z (n, 8, k), each step's start y_n then k_0 ... k_6."""
 
     t: np.ndarray
     y: np.ndarray
     q: np.ndarray
+    z: np.ndarray
+
+    def segment(self, ts):
+        """Index of the step each time falls in; a time on a step end takes
+        the earlier step, as solve_ivp does."""
+        return np.clip(np.searchsorted(self.t, ts) - 1, 0, len(self.q) - 1)
 
     def __call__(self, ts, rows=slice(None)):
-        """Dense output at the times ts, shape (len(ts), rows of y).
-
-        A time on a step end takes the earlier step, as solve_ivp does.
-        """
-        seg = np.clip(np.searchsorted(self.t, ts) - 1, 0, len(self.q) - 1)
+        """Dense output at the times ts, shape (len(ts), rows of y)."""
+        seg = self.segment(ts)
         h = self.t[seg + 1] - self.t[seg]
         powers = np.cumprod(np.repeat(((ts - self.t[seg]) / h)[:, None], 4, 1), 1)
         return (h[:, None] * np.einsum("nij,nj->ni", self.q[seg, rows], powers)
                 + self.y[seg, rows])
 
 
-def _dormand_prince(generators, t0, t1, rtol, atol, derivatives=None):
+def _dormand_prince(generators, t0, t1, rtol, atol):
     """Dormand-Prince 5(4) steps of y' = M(t) y from the ground state at t0.
 
     Initial step and step control are solve_ivp's RK45 ones (safety 0.9,
@@ -240,14 +229,8 @@ def _dormand_prince(generators, t0, t1, rtol, atol, derivatives=None):
     rtol and atol mean what they mean there. A step-size underflow or a
     non-finite error norm raises `IntegrationError`.
 
-    Returns the steps of y and, given ``derivatives`` (times -> stacked
-    dM/dtheta as `_generator_derivatives` builds them), the steps of the
-    forward sensitivities S = dy/dtheta, else None. S obeys
-    S' = S M^T + (dM/dtheta) y and takes each accepted step's own stages,
-    so up to rounding it is the exact derivative of the discrete solution
-    at fixed steps; the error control sees y alone, and y's steps are the
-    same with or without it. S is flattened to 27 columns, column 9 i + j holding
-    d y_j / d theta_i.
+    Returns the accepted steps of y, with each step's stages kept for
+    `_sensitivity_at`.
     """
     if rtol < _RTOL_FLOOR:
         warnings.warn(f"rtol {rtol} is below 100 eps; using 100 eps", stacklevel=3)
@@ -274,15 +257,7 @@ def _dormand_prince(generators, t0, t1, rtol, atol, derivatives=None):
 
     z = np.empty((8, 9))   # y, then the stages k_0 ... k_6 of a step
     t = t0
-    ts, ys, qs = [t], [y], []
-    if derivatives is not None:
-        # X = (S, y) steps with the generator [I3 (x) M | dM/dtheta] (27 x 36);
-        # its y columns are refilled from y's own stages every step
-        g = np.zeros((5, 27, 36))
-        kx = np.empty((8, 36))   # X, then its stages
-        sens = np.zeros(27)      # the ground state at t0 does not move with theta
-        kx[7, :27] = derivatives(np.array([t0]))[0] @ y
-        ss, sqs = [sens], []
+    ts, ys, qs, zs = [t], [y], [], []
     while t < t1:
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -311,26 +286,61 @@ def _dormand_prince(generators, t0, t1, rtol, atol, derivatives=None):
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
         qs.append(z[1:].T @ _P)
-        if derivatives is not None:
-            for i in range(0, 27, 9):
-                g[:, i:i + 9, i:i + 9] = m
-            g[:, :, 27:] = derivatives(t + _C[1:] * h)
-            kx[0, :27], kx[1, :27] = sens, kx[7, :27]
-            kx[:, 27:] = z
-            for s in range(1, 6):
-                kx[s + 1, :27] = g[s - 1] @ (w[s, :s + 1] @ kx[:s + 1])
-            x_new = w[6] @ kx[:7]
-            x_new[27:] = y_new
-            kx[7, :27] = g[4] @ x_new
-            sens = x_new[:27]
-            sqs.append(kx[1:, :27].T @ _P)
-            ss.append(sens)
+        zs.append(z.copy())
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    ts = np.array(ts)
-    return (_Steps(ts, np.array(ys), np.array(qs)),
-            None if derivatives is None else _Steps(ts, np.array(ss), np.array(sqs)))
+    return _Steps(np.array(ts), np.array(ys), np.array(qs), np.array(zs))
+
+
+_BLOCK = 16   # accepted steps per batched pass of `_sensitivity_at`
+
+
+def _sensitivity_at(atom: Atom, drive: CoherentDrive, steps: _Steps, t):
+    """S = dy/dtheta at time t, theta = (omega1, omega2, mu), shape (9, 3),
+    from the stages of the steps up to the one that holds t.
+
+    Differentiating a step's stages k_s = M_s Y_s, Y_s = y_n + h sum_j
+    A[s, j] k_j, makes each stage's derivative an affine map of the step's
+    start, dk_s = P_s S_n + Q_s with (dM_s/dtheta) Y_s in Q_s, and the step
+    one too, S_{n+1} = R_n S_n + c_n (Hairer, Norsett & Wanner, Sec. II.6).
+    So S is the exact derivative of the discrete solution at fixed steps,
+    as if the stepper had carried it. The maps are built by matmul over
+    blocks of `_BLOCK` steps and folded one step at a time; the held step's
+    dense output gives S at t.
+    """
+    _, a1, a2 = _system_matrices(atom)
+    a12 = np.stack([math.sqrt(atom.gamma_e * drive.n1) * a1,
+                    math.sqrt(atom.gamma_f * drive.n2) * a2], -1)   # (9, 9, 2)
+    generators = _generators(atom, drive)
+    held = int(steps.segment(np.array([t]))[0])
+    eye = np.eye(9, 12)
+    sens = np.zeros((9, 3))   # the ground state at t0 does not move with theta
+    for n0 in range(0, held + 1, _BLOCK):
+        z = steps.z[n0:held + 1][:_BLOCK]
+        ends = steps.t[n0:n0 + len(z) + 1]
+        h = np.diff(ends)
+        times = ends[:-1] + _C[:, None] * h   # (stage, step)
+        m = generators(times.ravel()).reshape(6, -1, 9, 9)
+        # dM_s/dtheta Y_s: the envelopes' derivatives times a1 Y_s and a2 Y_s
+        y_in = z[:, 0] + h[:, None] * np.tensordot(_A, z[:, 1:6], (1, 1))
+        coef = drive.envelope_derivatives(times).transpose(2, 3, 0, 1)
+        # stage s of the block's steps as g[s] = [P_s | Q_s], (9, 12) each
+        g = np.empty((6, len(z), 9, 12))
+        for s in range(6):
+            g[s] = m[s] @ (eye + h[:, None, None] * np.tensordot(_A[s, :s], g[:s], 1))
+            g[s, :, :, 9:] += np.einsum("ijk,bj->bik", a12, y_in[s]) @ coef[s]
+        step = eye + h[:, None, None] * np.tensordot(_B, g, 1)
+        for r in step[:held - n0]:
+            sens = r[:, :9] @ sens + r[:, 9:]
+    # the held step: its stages, k_6 = M(t_n + h) y_{n+1} included, at t
+    i = held - n0
+    dk = g[:, i, :, :9] @ sens + g[:, i, :, 9:]
+    end = step[i, :, :9] @ sens + step[i, :, 9:]
+    dk6 = m[5, i] @ end + np.einsum("ijk,j->ik", a12, steps.y[held + 1]) @ coef[5, i]
+    x = (t - steps.t[held]) / h[i]
+    alpha = _P @ np.cumprod(np.full(4, x))
+    return sens + h[i] * (np.tensordot(alpha[:6], dk, 1) + alpha[6] * dk6)
 
 
 def pf_max_coherent(atom: Atom, drive: CoherentDrive, rtol=1e-8, atol=1e-10,
@@ -343,14 +353,14 @@ def pf_max_coherent(atom: Atom, drive: CoherentDrive, rtol=1e-8, atol=1e-10,
     `refine_max` at the root of the slope d rho_ff/dt, row 2 of M(t) y.
     Returns (t_max, p_max), and with ``gradient`` also d p_max/d theta for
     theta = (omega1, omega2, mu): the slope vanishes at the maximum, so this
-    is d rho_ff/d theta at fixed time (envelope theorem), read from the
-    dense output of the stepper's forward sensitivities at the slope's root.
-    (t_max, p_max) are the same bit for bit with or without it.
+    is d rho_ff/d theta at fixed time (envelope theorem), which
+    `_sensitivity_at` reads off the accepted steps' stages at the slope's
+    root. The steps, and so (t_max, p_max), are the same bit for bit with or
+    without it.
     """
     window = drive.default_window(atom)
     generators = _generators(atom, drive)
-    steps, sens = _dormand_prince(generators, window.t_start, window.t_end, rtol, atol,
-                                  _generator_derivatives(atom, drive) if gradient else None)
+    steps = _dormand_prince(generators, window.t_start, window.t_end, rtol, atol)
     ts = np.linspace(window.t_start, window.t_end, 1200)
     pf = steps(ts, slice(2, 3))[:, 0]
     i = int(np.argmax(pf))
@@ -371,4 +381,4 @@ def pf_max_coherent(atom: Atom, drive: CoherentDrive, rtol=1e-8, atol=1e-10,
     ds = at(t_max + xtol)[0] - at(t_max - xtol)[0]
     dt = -at(t_max)[0] * 2.0 * xtol / ds if ds else 0.0
     t_root = t_max + dt if abs(dt) <= 2.0 * xtol else t_max
-    return t_max, p_max, sens(np.array([t_root]), slice(2, 27, 9))[0]
+    return t_max, p_max, _sensitivity_at(atom, drive, steps, t_root)[2]

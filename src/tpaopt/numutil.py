@@ -21,7 +21,11 @@ def phi1(z):
     out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
     zb = z[~small]
     if np.iscomplexobj(z):
-        out[~small] = (np.exp(zb) - 1.0) / zb
+        # exp(z) - 1 without the cancellation of exp(z) - 1 near 0:
+        # Re = expm1(x) cos y - 2 sin^2(y/2), Im = e^x sin y
+        x, y = zb.real, zb.imag
+        out[~small] = (np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2
+                       + 1j * np.exp(x) * np.sin(y)) / zb
     else:
         out[~small] = np.expm1(zb) / zb
     return out[0] if scalar else out

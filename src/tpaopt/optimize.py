@@ -8,7 +8,8 @@ from the envelope theorem: the time maximum t* has zero time slope, so the
 gradient of p_max is the parameter derivative of P_f at fixed t*. For the
 two-photon families it comes from one panel pass of the inner integral's
 closed-form field derivatives (`absorption.pf_max_over_t`); for coherent
-drives it is the dense output of the DP5 stepper's forward sensitivities.
+drives it is the forward sensitivities of the DP5 steps, read off the
+accepted steps' stages at t*.
 `_objective` returns the gradient with p_max and t*, so every search, the
 1-D delay climb of `sweeps` included, runs on it. Each
 run is confined to a trust box around its centre and re-centred while it

@@ -14,6 +14,7 @@ import ctypes
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,16 +182,24 @@ def _blas_pools():
     return pools
 
 
-def _run(tasks, fn, jobs):
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
+@contextmanager
+def _one_blas_thread():
+    """The loaded OpenBLAS builds run one thread inside the block; the
+    caller's counts come back after it."""
     pools = _blas_pools()
     counts = [get() for get, _ in pools]
-    for _, set_threads in pools:  # before the fork, so the workers inherit it
+    for _, set_threads in pools:
         set_threads(1)
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+        yield
     finally:
         for (_, set_threads), n in zip(pools, counts):
             set_threads(n)
+
+
+def _run(tasks, fn, jobs):
+    if jobs <= 1:
+        return [fn(t) for t in tasks]
+    # one thread before the fork, so the workers inherit it
+    with _one_blas_thread(), ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))

@@ -10,7 +10,10 @@ these oracles: the package integrates the master equation with its own
 Dormand-Prince stepper, and `solve_ivp_reference` is the reference for both
 its trajectories and its maxima. `curve_amplitudes_time_split` keeps the
 fast route's earlier sampling, every time a panel edge, as the reference for
-the times read off each panel's antiderivative.
+the times read off each panel's antiderivative, and
+`pf_max_coherent_in_stepper` keeps the coherent gradient's earlier route,
+the forward sensitivities carried through every step, as the reference for
+the gradient read off the steps' stages.
 """
 
 import math
@@ -20,13 +23,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from tpaopt.absorption import _outer_edges, _pf_at_quadrature, decayed_inner
-from tpaopt.coherent import _system_matrices
+from tpaopt.coherent import (_C, _E, _P, _WEIGHTS, _generators, _rms,
+                             _system_matrices)
 from tpaopt.model import Atom
 from tpaopt.numutil import refine_max
 from tpaopt.quadrature import integrate, integrate_batch, panel_nodes
 from tpaopt.states import (DecayingExpProduct, EntangledGaussian,
                            GaussianProduct, OptimalState, RisingExpProduct)
-from tpaopt.sweeps import _blas_pools
+from tpaopt.sweeps import _one_blas_thread
 
 
 def pf_brute_force(atom, amplitude, t, lo, n=2000, richardson=True):
@@ -193,6 +197,121 @@ def pf_max_coherent_reference(atom, drive, rtol, atol, n_scan=1200):
     return refine_max(ts[win], pf[win], slopes, trial, 1e-6 / atom.gamma_f)
 
 
+def pf_max_coherent_in_stepper(atom, drive, rtol, atol):
+    """(t_max, p_max, gradient) of ``coherent.pf_max_coherent`` with the
+    forward sensitivities S = dy/d(omega1, omega2, mu) carried through every
+    accepted step by the stepper itself, as the package computed them before
+    its gradient pass read them off the stages.
+
+    X = (S, y) takes each step with the generator [I3 (x) M | dM/dtheta]
+    (27 x 36), its y columns refilled from y's own stages, and S is read at
+    the slope's root from its own dense output. y's steps, the scan and the
+    refiner are the package's, so (t_max, p_max) agree with it bit for bit.
+    """
+    window = drive.default_window(atom)
+    t0, t1 = window.t_start, window.t_end
+    generators = _generators(atom, drive)
+    basis = np.stack(_system_matrices(atom)[1:]).reshape(2, 81)
+    c1 = math.sqrt(atom.gamma_e * drive.n1)
+    c2 = math.sqrt(atom.gamma_f * drive.n2)
+
+    def derivatives(ts):
+        coef = drive.envelope_derivatives(ts)
+        coef[0] *= c1
+        coef[1] *= c2
+        return (coef.T @ basis).reshape(-1, 27, 9)
+
+    y = np.zeros(9)
+    y[0] = 1.0
+    f = generators(np.array([t0]))[0] @ y
+    span = t1 - t0
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = generators(np.array([t0 + h0]))[0] @ (y + h0 * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, span)
+
+    z = np.empty((8, 9))
+    g = np.zeros((5, 27, 36))
+    kx = np.empty((8, 36))
+    sens = np.zeros(27)
+    kx[7, :27] = derivatives(np.array([t0]))[0] @ y
+    t = t0
+    ts, ys, qs, ss, sqs = [t], [y], [], [sens], []
+    while t < t1:
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        z[0], z[1] = y, f
+        while True:
+            assert h_abs >= min_step
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            m = generators(t + _C[1:] * h)
+            w = h * _WEIGHTS
+            w[:, 0] = 1.0
+            for s in range(1, 6):
+                z[s + 1] = m[s - 1] @ (w[s, :s + 1] @ z[:s + 1])
+            y_new = w[6] @ z[:7]
+            z[7] = f_new = m[4] @ y_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms((h * _E) @ z[1:] / scale)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        for i in range(0, 27, 9):
+            g[:, i:i + 9, i:i + 9] = m
+        g[:, :, 27:] = derivatives(t + _C[1:] * h)
+        kx[0, :27], kx[1, :27] = sens, kx[7, :27]
+        kx[:, 27:] = z
+        for s in range(1, 6):
+            kx[s + 1, :27] = g[s - 1] @ (w[s, :s + 1] @ kx[:s + 1])
+        x_new = w[6] @ kx[:7]
+        x_new[27:] = y_new
+        kx[7, :27] = g[4] @ x_new
+        sens = x_new[:27]
+        qs.append(z[1:].T @ _P)
+        sqs.append(kx[1:, :27].T @ _P)
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+        ss.append(sens)
+    ts = np.array(ts)
+
+    def dense(tt, y, q, rows=slice(None)):
+        seg = np.clip(np.searchsorted(ts, tt) - 1, 0, len(q) - 1)
+        h = ts[seg + 1] - ts[seg]
+        powers = np.cumprod(np.repeat(((tt - ts[seg]) / h)[:, None], 4, 1), 1)
+        return h[:, None] * np.einsum("nij,nj->ni", q[seg, rows], powers) + y[seg, rows]
+
+    ys, qs, ss, sqs = np.array(ys), np.array(qs), np.array(ss), np.array(sqs)
+    scan = np.linspace(t0, t1, 1200)
+    pf = dense(scan, ys, qs, slice(2, 3))[:, 0]
+    i = int(np.argmax(pf))
+    win = slice(max(i - 1, 0), i + 2)
+    slopes = np.einsum("ij,ij->i", generators(scan[win])[:, 2], dense(scan[win], ys, qs))
+
+    def at(tt):
+        y = dense(np.array([tt]), ys, qs)[0]
+        return generators(np.array([tt]))[0, 2] @ y, y[2]
+
+    xtol = 1e-6 / atom.gamma_f
+    t_max, p_max = refine_max(scan[win], pf[win], slopes, lambda k: at, xtol)
+    ds = at(t_max + xtol)[0] - at(t_max - xtol)[0]
+    dt = -at(t_max)[0] * 2.0 * xtol / ds if ds else 0.0
+    t_root = t_max + dt if abs(dt) <= 2.0 * xtol else t_max
+    return t_max, p_max, dense(np.array([t_root]), ss, sqs, slice(2, 27, 9))[0]
+
+
 def random_state(rng, family=None):
     """Random valid state with parameters in the regimes the tests cover."""
     fam = family or rng.choice(
@@ -233,13 +352,8 @@ def strip_timestamp(text):
 def one_blas_thread():
     """The suite runs the loaded OpenBLAS builds on one thread, as the
     `--jobs` pool workers do, and restores the caller's counts at the end."""
-    pools = _blas_pools()
-    counts = [get() for get, _ in pools]
-    for _, set_threads in pools:
-        set_threads(1)
-    yield
-    for (_, set_threads), n in zip(pools, counts):
-        set_threads(n)
+    with _one_blas_thread():
+        yield
 
 
 @pytest.fixture

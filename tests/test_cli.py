@@ -9,7 +9,9 @@ import pytest
 
 import tpaopt.absorption as absorption
 import tpaopt.coherent as coherent
+import tpaopt.cli as cli
 import tpaopt.optimize as opt
+import tpaopt.sweeps as sweeps
 from tpaopt.cli import _preset_path, build_parser, load_config, main
 from tpaopt.model import Atom
 from tpaopt.optimize import FAMILIES as OPTIMIZABLE
@@ -76,6 +78,35 @@ def test_reference_outputs(tmp_path):
     for name in ("pmax_bound.csv", "spectral_densities.csv",
                  "arrival_densities.csv"):
         assert (out / name).exists()
+
+
+def test_main_runs_one_blas_thread_and_restores_the_callers(monkeypatch, tmp_path):
+    pools = sweeps._blas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS from the scipy or numpy wheels is loaded")
+
+    def threads():
+        return [get() for get, _ in pools]
+
+    seen = []
+    command, *rest = cli._COMMANDS["reference"]
+    monkeypatch.setitem(cli._COMMANDS, "reference",
+                        (lambda cfg: seen.append(threads()) or command(cfg), *rest))
+    # the suite runs one thread (conftest); a caller's 2 tells restoring apart
+    counts = threads()
+    for _, set_threads in pools:
+        set_threads(2)
+    try:
+        assert main(["reference", "--gamma-ratio", "1", "--out", str(tmp_path)]) == 0
+        assert seen == [[1] * len(pools)]
+        assert threads() == [2] * len(pools)
+        # a usage error leaves by SystemExit, and restores them too
+        with pytest.raises(SystemExit):
+            main(["reference", "--gamma-ratio", "0", "--out", str(tmp_path)])
+        assert len(seen) == 2 and threads() == [2] * len(pools)
+    finally:
+        for (_, set_threads), n in zip(pools, counts):
+            set_threads(n)
 
 
 def test_curve_optimal_state(tmp_path):
