@@ -18,20 +18,20 @@ routes are provided:
 
 On both routes the interaction starts in the infinite past; a state that
 starts at a finite time carries that start in its own support, as the
-truncated matched state ``OptimalState(atom, t_star, t0)`` does. The scan,
-the time-maximum refiner and the field gradient all take the inner integral
-through `decayed_inner`.
+truncated matched state ``OptimalState(atom, t_star, t0)`` does. A time
+maximum's scan, its refiner's trials and its field gradient all read one set
+of outer panels, from one `decayed_inner` pass (`_OuterPanels`).
 
 The fast route is validated against the reference route to 1e-9 in the test
 suite; closed-form expressions for the exponential families follow their own
 algebraic derivations and serve as mutual cross-checks.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
 from scipy.integrate import simpson
 
 from .model import Atom
@@ -80,61 +80,135 @@ def _outer_edges(atom: Atom, state, lo, hi):
     return subdivide(lo, hi, h_max, extra=_outer_breakpoints(state))
 
 
-def curve_amplitudes(atom: Atom, state, times):
-    """Outer complex amplitudes O(t_k); P_f(t_k) = ge*gf*|O(t_k)|^2.
+def _legendre(u, n, derivatives=False):
+    """P_0..P_n at u (a float or an array; degree last), bit for bit numpy's
+    `legvander` by its own recurrence, and with ``derivatives`` P_0'..P_n'; at
+    a float u it runs on floats, not the array calls that slow `legvander`."""
+    p = np.empty((n + 1,) + np.shape(u))
+    dp = np.empty_like(p) if derivatives else None
+    p0, p1, d0, d1 = 1.0, u, 0.0, 1.0
+    p[0], p[1] = p0, p1
+    if derivatives:
+        dp[0], dp[1] = d0, d1
+    for i in range(2, n + 1):
+        p0, p1 = p1, (p1 * u * (2 * i - 1) - p0 * (i - 1)) / i
+        p[i] = p1
+        if derivatives:
+            d0, d1 = d1, d0 + (2 * i - 1) * p0
+            dp[i] = d1
+    return (p.T, dp.T) if derivatives else p.T
 
-    The amplitudes accumulate forward in time up to the last time, so
-    ``times`` that are not strictly ascending raise ValueError. The outer
-    panels come from the state's scales alone (`_outer_edges` up to the
-    last time or the support end), so the inner integral is evaluated in one
-    vectorized call over their nodes, however many times are asked for.
+
+class _OuterPanels:
+    """The outer panels of one P_f curve over [lo2, t_hi], t_hi = min(t_last,
+    hi2) > lo2, from one `decayed_inner` call over all their nodes (with the
+    field derivatives when ``derivatives``): O(t) at many times, (dP_f/dt,
+    P_f) at one time for the refiner, and dP_f/d(field).
+
     Panel integrals are anchored at their right edges and accumulated with
-    per-step decay factors of modulus <= 1. A time on an edge takes the sum
-    accumulated there. A time t inside the panel [a, b] carries the sum at
-    a to t and adds the panel's node interpolant integrated from a to t,
-    read off its Legendre antiderivative (`gl_antiderivative`) and rescaled
-    by e^{c2 (b - t)}, whose modulus is at most e^{gf h_max / 2} <= e^2.
+    per-step decay factors of modulus <= 1; a time on an edge takes the sum
+    there. In the panel j = [a, b], F_j(u) integrates from a the node
+    interpolant of e^{c2 (t2 - b)} G(t2) (`gl_antiderivative`), and
+        O(t) = acc_a e^{c2 (a - t)} + e^{c2 (b - t)} half F_j(u),
+        dO/dt = e^{c2 (b - t)} F_j'(u) - c2 O(t),
+    |e^{c2 (b - t)}| <= e^{gf h_max / 2} <= e^2. F_j' interpolates G, so the
+    slope is left-continuous at hi2, past which O only decays.
     """
-    c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
+
+    def __init__(self, atom, state, t_last, derivatives=False):
+        self.atom, self.state = atom, state
+        self.c2 = c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
+        lo2, hi2 = state.support2()
+        self.edges = edges = _outer_edges(atom, state, lo2, min(t_last, hi2))  # t_hi last
+        nodes, self.half, self.w = panel_nodes(edges)
+        anchor = np.exp(c2 * (nodes - edges[1:, None]))
+        if derivatives:  # G at lo2 too, for the delay's Leibniz term
+            g, dg = decayed_inner(atom, state, np.append(nodes.ravel(), lo2), derivatives=True)
+            self.g_lo2, g = g[-1], g[:-1]
+            self.dvals = anchor * dg[:, :-1].reshape(-1, *nodes.shape)
+        else:
+            g = decayed_inner(atom, state, nodes.ravel())
+        vals = anchor * g.reshape(nodes.shape)
+        panel = self.half * (vals @ self.w)
+        self.coef = vals @ gl_antiderivative(self.w.size).T  # F_j's, one row per panel
+
+        # sequential accumulation; every step factor has modulus <= 1
+        decay = np.exp(c2 * (edges[:-1] - edges[1:]))
+        self.acc = np.zeros(panel.size + 1, dtype=complex)  # acc[j]: the sum at edges[j]
+        run = 0.0 + 0.0j
+        for j in range(panel.size):
+            run = run * decay[j] + panel[j]
+            self.acc[j + 1] = run
+
+    def amplitudes(self, times):
+        """O at the ascending ``times``."""
+        c2, edges, acc = self.c2, self.edges, self.acc
+        out = np.zeros(times.size, dtype=complex)
+        inside = np.flatnonzero((times > edges[0]) & (times <= edges[-1]))
+        t = times[inside]
+        idx = np.searchsorted(edges, t)
+        on_edge = edges[idx] == t
+        out[inside[on_edge]] = acc[idx[on_edge]]
+        t, j = t[~on_edge], idx[~on_edge] - 1  # t inside the panel [edges[j], edges[j+1]]
+        a, b, half = edges[j], edges[j + 1], self.half[j]
+        legendre = _legendre((t - a) / half - 1.0, self.w.size)
+        part = half * np.sum(legendre * self.coef[j], axis=1)
+        out[inside[~on_edge]] = acc[j] * np.exp(c2 * (a - t)) + np.exp(c2 * (b - t)) * part
+        beyond = times > edges[-1]
+        out[beyond] = acc[-1] * np.exp(c2 * (edges[-1] - times[beyond]))
+        return out
+
+    def _read(self, t):
+        """O(t), dO/dt, t's panel j (t in (edges[j], edges[j + 1]]), and
+        P_0..P_n at t and e^{c2 (b - t)}, None before lo2 or past t_hi."""
+        t, c2, acc = float(t), self.c2, self.acc
+        j = int(np.searchsorted(self.edges, t)) - 1
+        if j < 0:
+            return 0j, 0j, j, None, None
+        if j == acc.size - 1:
+            amp = acc[-1] * cmath.exp(c2 * (self.edges[-1] - t))
+            return amp, -c2 * amp, j, None, None
+        a, b, half = float(self.edges[j]), float(self.edges[j + 1]), float(self.half[j])
+        p, dp = _legendre((t - a) / half - 1.0, self.w.size, derivatives=True)
+        e = cmath.exp(c2 * (b - t))
+        amp = acc[j + 1] if t == b else (acc[j] * cmath.exp(c2 * (a - t))
+                                         + e * half * (p @ self.coef[j]))
+        return amp, e * (dp @ self.coef[j]) - c2 * amp, j, p, e
+
+    def at(self, t):
+        """(dP_f/dt, P_f) at the time t."""
+        amp, slope, *_ = self._read(t)
+        return (2.0 * self.atom.gamma_e * self.atom.gamma_f * (amp.conjugate() * slope).real,
+                float(_pf_from_amp(self.atom, abs(amp))))
+
+    def gradient(self, t):
+        """dP_f(t)/d(field) in field order, 2 ge gf Re(conj(O) dO) with dO read
+        like O off G's derivative rows, plus the Leibniz term -e^{c2 (lo2 - t)}
+        G(lo2+) of the lower limit lo2 that the delay moves (only the decaying
+        family starts sharply; ends that move with the widths are below 1e-12)."""
+        amp, _, j, p, e = self._read(t)
+        if j < 0:
+            return np.zeros(len(fields(self.state)))
+        c2, dvals, half = self.c2, self.dvals, self.half
+        damp = (half[:j] * (dvals[:, :j] @ self.w)) @ np.exp(c2 * (self.edges[1:j + 1] - t))
+        if p is not None:
+            damp = damp + e * half[j] * ((dvals[:, j] @ gl_antiderivative(self.w.size).T) @ p)
+        if delay_field(type(self.state)):
+            damp[-1] -= cmath.exp(c2 * (self.edges[0] - t)) * self.g_lo2
+        return 2.0 * self.atom.gamma_e * self.atom.gamma_f * np.real(np.conj(amp) * damp)
+
+
+def curve_amplitudes(atom: Atom, state, times):
+    """Outer complex amplitudes O(t_k); P_f(t_k) = ge*gf*|O(t_k)|^2, read off
+    `_OuterPanels` (one kernel call, however many times). ``times`` not
+    strictly ascending raise ValueError: the amplitudes accumulate forward."""
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("scan times must be strictly ascending")
     lo2, hi2 = state.support2()
-    out = np.zeros(times.size, dtype=complex)
-    t_hi = min(times[-1], hi2)
-    if t_hi <= lo2:
-        return out
-    edges = _outer_edges(atom, state, lo2, t_hi)
-
-    nodes, half, w = panel_nodes(edges)
-    vals = (np.exp(c2 * (nodes - edges[1:, None]))
-            * decayed_inner(atom, state, nodes.ravel()).reshape(nodes.shape))
-    panel = half * (vals @ w)
-
-    # sequential accumulation; every step factor has modulus <= 1
-    decay = np.exp(c2 * (edges[:-1] - edges[1:]))
-    acc = np.zeros(panel.size + 1, dtype=complex)  # acc[j]: the sum at edges[j]
-    run = 0.0 + 0.0j
-    for j in range(panel.size):
-        run = run * decay[j] + panel[j]
-        acc[j + 1] = run
-
-    inside = np.flatnonzero((times > lo2) & (times <= t_hi))
-    t = times[inside]
-    idx = np.searchsorted(edges, t)
-    on_edge = edges[idx] == t
-    out[inside[on_edge]] = acc[idx[on_edge]]
-    t, j = t[~on_edge], idx[~on_edge] - 1  # t inside the panel [edges[j], edges[j+1]]
-    a, b = edges[j], edges[j + 1]
-    # Legendre coefficients of each panel's node interpolant integrated from its left edge
-    coef = vals @ gl_antiderivative(w.size).T
-    u = (t - a) / half[j] - 1.0
-    part = half[j] * np.sum(legvander(u, w.size) * coef[j], axis=1)
-    out[inside[~on_edge]] = acc[j] * np.exp(c2 * (a - t)) + np.exp(c2 * (b - t)) * part
-    beyond = times > t_hi
-    if np.any(beyond):
-        out[beyond] = acc[-1] * np.exp(c2 * (t_hi - times[beyond]))
-    return out
+    if min(times[-1], hi2) <= lo2:
+        return np.zeros(times.size, dtype=complex)
+    return _OuterPanels(atom, state, times[-1]).amplitudes(times)
 
 
 def _pf_from_amp(atom, amp):
@@ -208,112 +282,39 @@ def excitation_curve(atom: Atom, state, n_times=200):
     """
     if n_times < 2:
         raise ValueError(f"a scan needs at least 2 times, got {n_times}")
+    return ExcitationCurve(*_max_with_scan(atom, state, n_times)[:4])
+
+
+def _max_with_scan(atom, state, n_times, gradient=False):
+    """(times, P_f there, t_max, p_max, panels): the `scan_bounds` scan's maximum
+    refined on dP_f/dt, every sample, trial and derivative off one `_OuterPanels`."""
     times = np.linspace(*scan_bounds(atom, state), n_times)
-    t_max, p_max, probs = _max_with_scan(atom, state, times)
-    return ExcitationCurve(times, probs, t_max, p_max)
-
-
-def _max_with_scan(atom, state, times):
-    """Scan maximum refined on the closed-form slope.
-
-    With O(t) the outer amplitude, dO/dt = G(t) - c2 O(t) where G is the
-    analytic inner integral (left-continuous at the support end, zero past
-    it), so dP/dt = 2 ge gf Re(conj(O) (G - c2 O)) costs one kernel call per
-    time. Trial amplitudes continue the scan from the bracket's left sample
-    over the scan's own panel edges.
-    """
-    amps = curve_amplitudes(atom, state, times)
-    probs = _pf_from_amp(atom, np.abs(amps))
+    panels = _OuterPanels(atom, state, times[-1], gradient)
+    probs = _pf_from_amp(atom, np.abs(panels.amplitudes(times)))
     i = int(np.argmax(probs))
-    win = slice(max(i - 1, 0), i + 2)
-    ts, os_ = times[win], amps[win]
-    c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
-    lo2, hi2 = state.support2()
-    below_hi2 = np.nextafter(hi2, -np.inf)
-
-    def inner(t2):
-        g = decayed_inner(atom, state, np.minimum(t2, below_hi2))
-        return np.where(t2 <= hi2, g, 0.0)
-
-    def slope(amp, g):
-        return 2.0 * atom.gamma_e * atom.gamma_f * np.real(np.conj(amp) * (g - c2 * amp))
-
-    t_hi = min(times[-1], hi2)
-    scan_edges = _outer_edges(atom, state, lo2, t_hi) if t_hi > lo2 else np.empty(0)
-
-    def trial(k):
-        a, amp_a = ts[k], os_[k]
-        edges = np.append(a, scan_edges[(scan_edges > a) & (scan_edges < ts[k + 1])])
-
-        def at(t):
-            amp, g_t = amp_a * np.exp(c2 * (a - t)), 0.0  # G = 0 past the support end
-            seg_hi = min(t, hi2)
-            if seg_hi > a:
-                nodes, half, w = panel_nodes(np.append(edges[edges < seg_hi], seg_hi))
-                g = inner(np.append(nodes.ravel(), t))  # G at the nodes and at t, one call
-                vals = np.exp(c2 * (nodes - t)) * g[:-1].reshape(nodes.shape)
-                amp, g_t = amp + np.sum(half * (vals @ w)), g[-1]
-            return slope(amp, g_t), float(_pf_from_amp(atom, abs(amp)))
-
-        return at
-
-    t_s, p_s, s_s = ts, probs[win], slope(os_, inner(ts))
-    if ts[0] < hi2 < ts[-1]:
+    t_s, p_s = times[max(i - 1, 0):i + 2], probs[max(i - 1, 0):i + 2]
+    hi2 = state.support2()[1]
+    if t_s[0] < hi2 < t_s[-1]:
         # past the support end P only decays, and at the end its slope jumps:
         # the maximum lies at or before the end, so the end is the last sample
-        k = int(np.searchsorted(ts, hi2)) - 1
-        s_end, p_end = trial(k)(hi2)
-        t_s = np.append(ts[:k + 1], hi2)
-        p_s = np.append(p_s[:k + 1], p_end)
-        s_s = np.append(s_s[:k + 1], s_end)
-    t_max, p_max = refine_max(t_s, p_s, s_s, trial, 1e-6 / atom.gamma_f)
-    return t_max, p_max, probs
+        keep = t_s < hi2
+        t_s, p_s = np.append(t_s[keep], hi2), np.append(p_s[keep], panels.at(hi2)[1])
+    s_s = [panels.at(t)[0] for t in t_s]
+    t_max, p_max = refine_max(t_s, p_s, s_s, panels.at, 1e-6 / atom.gamma_f)
+    return times, probs, t_max, p_max, panels
 
 
 def pf_max_over_t(atom: Atom, state, gradient=False):
-    """Global maximum of P_f over time: coarse scan on 200 times, then the
-    root of dP/dt.
+    """Global maximum of P_f over time: a 200-time scan, then the root of dP/dt.
 
     Returns (t_max, p_max), and with ``gradient`` also d p_max/d(field) for
     the state's fields in order (widths, then the delay): the slope vanishes
     at the maximum, so this is dP_f/d(field) at fixed t_max (envelope
-    theorem), from `_field_gradient`. (t_max, p_max) are the same bit for
-    bit with or without it.
+    theorem), read off the scan's own panels. (t_max, p_max) are the same
+    bit for bit with or without it.
     """
-    lo, hi = scan_bounds(atom, state)
-    times = np.linspace(lo, hi, 200)
-    t_max, p_max, _ = _max_with_scan(atom, state, times)
-    if not gradient:
-        return t_max, p_max
-    return t_max, p_max, _field_gradient(atom, state, t_max)
-
-
-def _field_gradient(atom, state, t):
-    """dP_f(t)/d(field) at fixed t from one panel pass of `decayed_inner`
-    with its field derivatives.
-
-    With O(t) = int_{lo2}^{min(t, hi2)} e^{c2 (t2 - t)} G(t2) dt2 and
-    P_f = ge gf |O|^2, dP_f = 2 ge gf Re(conj(O) dO), where dO integrates dG
-    with the same weights, each of modulus <= 1, over the outer panels of
-    the fast route. The delay shifts the second pulse's support, whose start
-    is the lower limit, so the delay's row gains the Leibniz term
-    -e^{c2 (lo2 - t)} G(lo2+). Only the decaying family starts sharply there;
-    the other support ends, which also move with the widths, are cut where
-    the amplitude is below 1e-12 of its peak.
-    """
-    c2 = 1j * atom.delta2 + 0.5 * atom.gamma_f
-    lo2, hi2 = state.support2()
-    t_hi = min(t, hi2)
-    if t_hi <= lo2:
-        return np.zeros(len(fields(state)))
-    nodes, half, w = panel_nodes(_outer_edges(atom, state, lo2, t_hi))
-    g, dg = decayed_inner(atom, state, np.append(nodes.ravel(), lo2), derivatives=True)
-    weight = np.exp(c2 * (nodes - t))
-    amp = (weight * g[:-1].reshape(nodes.shape)) @ w @ half
-    damp = (weight * dg[:, :-1].reshape(-1, *nodes.shape)) @ w @ half
-    if delay_field(type(state)):
-        damp[-1] -= np.exp(c2 * (lo2 - t)) * g[-1]
-    return 2.0 * atom.gamma_e * atom.gamma_f * np.real(np.conj(amp) * damp)
+    _, _, t_max, p_max, panels = _max_with_scan(atom, state, 200, gradient)
+    return (t_max, p_max, panels.gradient(t_max)) if gradient else (t_max, p_max)
 
 
 # ---------------------------------------------------------------------------

@@ -372,7 +372,7 @@ def pf_max_coherent(atom: Atom, drive: CoherentDrive, rtol=1e-8, atol=1e-10,
         return generators(np.array([t]))[0, 2] @ y, y[2]
 
     xtol = 1e-6 / atom.gamma_f
-    t_max, p_max = refine_max(ts[win], pf[win], slopes, lambda k: at, xtol)
+    t_max, p_max = refine_max(ts[win], pf[win], slopes, at, xtol)
     if not gradient:
         return t_max, p_max
     # t_max lies within xtol of the slope's root; there d rho_ff/d mu would

@@ -43,25 +43,24 @@ def dphi1(z):
     return np.polynomial.polynomial.polyval(z, _DPHI1_TAYLOR)
 
 
-def refine_max(times, values, slopes, trial, xtol):
+def refine_max(times, values, slopes, at, xtol):
     """Time and value of a sampled curve's maximum, refined on its slope.
 
     ``times`` (ascending), ``values`` and ``slopes`` sample the curve at its
-    scan maximum and that sample's neighbours. The largest sample and the
-    neighbour its slope points to bracket a maximum, times[k] < times[k + 1];
-    ``trial(k)`` returns t -> (slope, value) on that bracket, and brentq
-    solves slope = 0 there to ``xtol``. Where an end's slope hides the + to -
-    sign change (it is zero on a curve that has not started yet, or a second
-    extremum lies between the samples) the bracket is first halved on the
-    slope's sign. The best point evaluated is returned, never worse than the
-    largest sample; a slope that jumps through zero leaves it within xtol of
-    the jump.
+    scan maximum and that sample's neighbours, and ``at(t)`` returns
+    (slope, value) at any time between them. The largest sample and the
+    neighbour its slope points to bracket a maximum, times[k] < times[k + 1],
+    and brentq solves slope = 0 there to ``xtol``. Where an end's slope hides
+    the + to - sign change (it is zero on a curve that has not started yet,
+    or a second extremum lies between the samples) the bracket is first
+    halved on the slope's sign. The best point evaluated is returned, never
+    worse than the largest sample; a slope that jumps through zero leaves it
+    within xtol of the jump.
     """
     i = int(np.argmax(values))
     k = i if slopes[i] > 0 else i - 1
     if slopes[i] == 0 or not 0 <= k < len(times) - 1:
         return float(times[i]), float(values[i])
-    at = trial(k)
     a, b = float(times[k]), float(times[k + 1])
     seen = {a: (slopes[k], values[k]), b: (slopes[k + 1], values[k + 1])}
     while not seen[a][0] > 0 > seen[b][0] and b - a > xtol:

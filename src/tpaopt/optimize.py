@@ -6,8 +6,8 @@ deterministic set of multistart seeds spans the atomic linewidth scales.
 Every family climbs with bounded L-BFGS-B (`lbfgs_trust`) on a gradient
 from the envelope theorem: the time maximum t* has zero time slope, so the
 gradient of p_max is the parameter derivative of P_f at fixed t*. For the
-two-photon families it comes from one panel pass of the inner integral's
-closed-form field derivatives (`absorption.pf_max_over_t`); for coherent
+two-photon families it is read off the scan's one kernel pass and panels
+(`absorption.pf_max_over_t`, closed-form field derivatives); for coherent
 drives it is the forward sensitivities of the DP5 steps, read off the
 accepted steps' stages at t*.
 `_objective` returns the gradient with p_max and t*, so every search, the

@@ -188,13 +188,11 @@ def pf_max_coherent_reference(atom, drive, rtol, atol, n_scan=1200):
     win = slice(max(i - 1, 0), i + 2)
     slopes = [rhs(t, y)[2] for t, y in zip(ts[win], sol(ts[win]).T)]
 
-    def trial(k):
-        def at(t):
-            y = sol(t)
-            return rhs(t, y)[2], y[2]
-        return at
+    def at(t):
+        y = sol(t)
+        return rhs(t, y)[2], y[2]
 
-    return refine_max(ts[win], pf[win], slopes, trial, 1e-6 / atom.gamma_f)
+    return refine_max(ts[win], pf[win], slopes, at, 1e-6 / atom.gamma_f)
 
 
 def pf_max_coherent_in_stepper(atom, drive, rtol, atol):
@@ -305,7 +303,7 @@ def pf_max_coherent_in_stepper(atom, drive, rtol, atol):
         return generators(np.array([tt]))[0, 2] @ y, y[2]
 
     xtol = 1e-6 / atom.gamma_f
-    t_max, p_max = refine_max(scan[win], pf[win], slopes, lambda k: at, xtol)
+    t_max, p_max = refine_max(scan[win], pf[win], slopes, at, xtol)
     ds = at(t_max + xtol)[0] - at(t_max - xtol)[0]
     dt = -at(t_max)[0] * 2.0 * xtol / ds if ds else 0.0
     t_root = t_max + dt if abs(dt) <= 2.0 * xtol else t_max

@@ -261,41 +261,70 @@ class TestMaxOverT:
         assert abs(tm) < 1e-3
 
     def test_maxima_are_pinned(self):
-        # recorded bit for bit from the scan that reads its times off each
-        # outer panel's Legendre antiderivative; the rising pair and the
-        # matched state peak at their support end, which the refiner takes
-        # as a sample. (t*, p_max) before, when every scan time was a panel
-        # edge, bound the move: p_max by 1e-14 relative, t* by the
-        # refiner's xtol 1e-6/gamma_f. The decaying pair's gradient is
-        # recorded with phi1's complex branch free of exp(z) - 1's
-        # cancellation
+        # recorded bit for bit from the scan, refiner and gradient that all
+        # read one set of outer panels; the rising pair and the matched
+        # state peak at their support end, which the refiner takes as a
+        # sample. The values before, when each refiner trial and the
+        # gradient built panels of their own, bound the move: p_max by 1e-14
+        # relative, t* by the refiner's xtol 1e-6/gamma_f and the gradient
+        # by 1e-6 of its largest entry (the rising pair's second entry is
+        # rounding noise about zero)
         atom = Atom(2.0, 1.0)
         cases = [
-            (atom, GaussianProduct(1.1, 1.9, 1.2), 1.928995239142264, 0.39955002365222153,
-             [0.06310658432803158, 0.004402272870424391, -0.11927167341962289],
-             (1.928995239142264, 0.39955002365222153)),
-            (atom, EntangledGaussian(1.03, 10.82, 0.19), 1.2086640515132085,
+            (atom, GaussianProduct(1.1, 1.9, 1.2), 1.9289952391422636, 0.39955002365222153,
+             [0.06310658432803178, 0.004402272870424502, -0.11927167341962332],
+             (1.928995239142264, 0.39955002365222153,
+              [0.06310658432803158, 0.004402272870424391, -0.11927167341962289])),
+            (atom, EntangledGaussian(1.03, 10.82, 0.19), 1.2086640515132094,
              0.4745949347098089,
-             [-0.0008406831577395459, -0.00952902403488478, 0.8413723362689152],
-             (1.2086640515132085, 0.4745949347098091)),
-            (atom, RisingExpProduct(0.5, 1.5), 0.0, 0.4266666666666659,
-             [0.22755555555555573, 1.249925746149317e-16],
-             (0.0, 0.42666666666666675)),
-            (atom, DecayingExpProduct(0.9, 2.3, 0.4), 1.7807182721391337,
-             0.17953856758812575,
-             [0.09617139262471051, -0.03673301293817639, 0.15365218081580254],
-             (1.7807182721391337, 0.17953856758812586)),
+             [-0.0008406831577396675, -0.009529024034884781, 0.8413723362689153],
+             (1.2086640515132085, 0.4745949347098089,
+              [-0.0008406831577395459, -0.00952902403488478, 0.8413723362689152])),
+            (atom, RisingExpProduct(0.5, 1.5), 0.0, 0.42666666666666686,
+             [0.22755555555555582, 1.4101726366812804e-16],
+             (0.0, 0.4266666666666659, [0.22755555555555573, 1.249925746149317e-16])),
+            (atom, DecayingExpProduct(0.9, 2.3, 0.4), 1.78071877213913, 0.17953856758812586,
+             [0.09617137206885863, -0.03673304621291347, 0.15365224563742508],
+             (1.7807182721391337, 0.17953856758812575,
+              [0.09617139262471051, -0.03673301293817639, 0.15365218081580254])),
             (Atom(2.0, 1.0, 0.7, -0.4), GaussianProduct(1.1, 1.9, 1.2), 1.901742013594419,
-             0.3166844144749943,
-             [0.09810185618961241, 0.003336484005674056, -0.12071121741988876],
-             (1.9017420135944194, 0.316684414474994)),
+             0.31668441447499446,
+             [0.0981018561896124, 0.003336484005674074, -0.12071121741988883],
+             (1.901742013594419, 0.3166844144749943,
+              [0.09810185618961241, 0.003336484005674056, -0.12071121741988876])),
         ]
-        for at, st, tm, pm, grad, (tm_split, pm_split) in cases:
+        for at, st, tm, pm, grad, (tm_before, pm_before, grad_before) in cases:
             t_max, p_max, g = ab.pf_max_over_t(at, st, gradient=True)
             assert (t_max, p_max, g.tolist()) == (tm, pm, grad)
-            assert abs(p_max - pm_split) <= 1e-14 * pm_split
-            assert abs(t_max - tm_split) <= 1e-6 / at.gamma_f
-        assert ab.pf_max_over_t(atom, OptimalState(atom, t_star=0.4)) == (0.4, 1.0000000000000002)
+            assert abs(p_max - pm_before) <= 1e-14 * pm_before
+            assert abs(t_max - tm_before) <= 1e-6 / at.gamma_f
+            assert np.max(np.abs(g - grad_before)) <= 1e-6 * np.max(np.abs(grad_before))
+        assert ab.pf_max_over_t(atom, OptimalState(atom, t_star=0.4)) == (0.4, 1.0000000000000004)
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_one_panel_pass_per_maximum(self, monkeypatch, gradient):
+        # the scan, the refiner's trials and the gradient read one set of
+        # outer panels: one `_outer_edges` and one kernel call, with the
+        # field derivatives exactly when the gradient is asked for
+        calls = []
+        kernel, edges = ab.decayed_inner, ab._outer_edges
+
+        def counted_kernel(atom, state, t2, derivatives=False):
+            calls.append(("decayed_inner", derivatives))
+            return kernel(atom, state, t2, derivatives)
+
+        def counted_edges(*args):
+            calls.append(("_outer_edges", None))
+            return edges(*args)
+
+        monkeypatch.setattr(ab, "decayed_inner", counted_kernel)
+        monkeypatch.setattr(ab, "_outer_edges", counted_edges)
+        for atom, st in [(Atom(2.0, 1.0, 0.3, -0.2), EntangledGaussian(1.03, 10.82, 0.19)),
+                         (Atom(1.0, 1.0), RisingExpProduct(0.5, 1.5)),
+                         (Atom(0.5, 1.0), DecayingExpProduct(1.5, 0.8, -0.7))]:
+            calls.clear()
+            ab.pf_max_over_t(atom, st, gradient=gradient)
+            assert sorted(calls) == [("_outer_edges", None), ("decayed_inner", gradient)]
 
     def test_truncated_optimal_hits_bound(self, rng):
         for k in range(6):
@@ -318,6 +347,12 @@ def _gradient_cases(rng, n=200):
     return cases + [(Atom(2.0, 1.0, 0.5, -0.3), EntangledGaussian(1.3, 1.3 * (1 + 1e-12), 0.4)),
                     (Atom(0.5, 1.0), DecayingExpProduct(1.5, 0.8, -0.7)),
                     (Atom(3.0, 1.0, -0.4, 0.6), DecayingExpProduct(0.9, 1.3, 1.5))]
+
+
+def _gradient_at(atom, st, t):
+    """dP_f(t)/d(field) from the outer panels of `pf_max_over_t`'s scan."""
+    panels = ab._OuterPanels(atom, st, ab.scan_bounds(atom, st)[1], derivatives=True)
+    return panels.gradient(t)
 
 
 class TestFieldGradient:
@@ -361,13 +396,13 @@ class TestFieldGradient:
         atom = Atom(1.0, 1.0)
         t, _, grad = ab.pf_max_over_t(atom, DecayingExpProduct(0.9, 1.3, 0.0), gradient=True)
         for shift in (-1e-8, 1e-8):
-            side = ab._field_gradient(atom, DecayingExpProduct(0.9, 1.3, shift), t)
+            side = _gradient_at(atom, DecayingExpProduct(0.9, 1.3, shift), t)
             assert side == pytest.approx(grad, rel=1e-7)
 
     def test_states_outside_the_second_pulse_have_zero_gradient(self):
         atom = Atom(1.0, 1.0)
         st = DecayingExpProduct(1.0, 1.0, 2.0)
-        grad = ab._field_gradient(atom, st, 1.0)
+        grad = _gradient_at(atom, st, 1.0)
         assert np.array_equal(grad, np.zeros(3))
 
 
@@ -699,6 +734,17 @@ class TestCurveAmplitudes:
             ab.curve_amplitudes(atom, st, np.linspace(*ab.scan_bounds(atom, st), n))
         assert nodes[0] > 0
         assert nodes == [nodes[0]] * 3
+
+    def test_legendre_rows_are_legvanders(self, rng):
+        # sample times read the rows bit for bit as numpy's legvander gives
+        # them, at one point and at many; the derivative rows feed the slope
+        u = rng.uniform(-1.0, 1.0, 300)
+        assert np.array_equal(ab._legendre(u, 24), np.polynomial.legendre.legvander(u, 24))
+        for x in u[:20]:
+            p, dp = ab._legendre(float(x), 24, derivatives=True)
+            assert np.array_equal(p, np.polynomial.legendre.legvander(x, 24)[0])
+            ref = [np.polynomial.legendre.Legendre.basis(i).deriv()(x) for i in range(25)]
+            assert dp == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the routes disagree on the "
